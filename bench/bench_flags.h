@@ -11,8 +11,9 @@
 //                   component plus counter tracks (see obs/perfetto.h)
 //   --timeseries=<path>  write windowed time-series JSONL: one window line
 //                   every --timeseries-window simulated references (default
-//                   8192), via obs::IntervalSnapshotter; windows also render
-//                   as Perfetto counter tracks when --perfetto is given
+//                   8192, at most sim::kMaxTraceLength), via
+//                   obs::IntervalSnapshotter; windows also render as
+//                   Perfetto counter tracks when --perfetto is given
 //
 // All flags are parsed and *removed* from argv, so a bench's own argument
 // parsing never sees them.  With no flags, Hooks() returns empty hooks, no
@@ -26,13 +27,10 @@
 // measurement, and per-measurement "timing" blocks gain per-phase host
 // samples.  v1 consumers must re-pin baselines.
 //
-// Schema v3: every JSON report additionally carries a bench-wide
-// "concurrency" section — the ContentionRegistry dump (named lock sites
-// with acquisition/contended counters, per-stripe heat maps, and wait-time
-// histograms when CPT_CONTENTION_TIMING is set; see obs/contention.h) and
-// machine options gain "lock_stripes".  Contention values are host-
-// dependent, so tools/bench_diff.py treats the section as non-drift, like
-// "timing" and "host_perf".  v2 consumers must re-pin baselines.
+// Schema v4: v3's "concurrency" section and its striped-insert machine
+// option are gone (page tables are single-writer; there are no locks to
+// report), and a host_perf object carries "counters"/"derived" only when
+// perf_event was available.  Simulated values are unchanged from v3.
 //
 // Error handling: an unopenable path, a malformed flag, or a stream that
 // goes bad while writing all terminate the bench with a nonzero exit and a
@@ -48,8 +46,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/parse.h"
 #include "obs/attribution.h"
-#include "obs/contention.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/perf.h"
@@ -65,8 +63,9 @@ namespace cpt::bench {
 // Version of the JSON document layout; bump on breaking schema changes.
 // tools/check_bench_json.py validates against this.
 // v2: host_perf + throughput sections, timing.phases, timeseries sidecar.
-// v3: concurrency section (lock-contention sites), options.lock_stripes.
-inline constexpr std::uint64_t kBenchSchemaVersion = 3;
+// v3: concurrency section (lock-contention sites), striped-insert option.
+// v4: v3's additions removed; degraded host_perf omits counters/derived.
+inline constexpr std::uint64_t kBenchSchemaVersion = 4;
 
 // Default time-series window width, in simulated references.
 inline constexpr std::uint64_t kDefaultTimeseriesWindow = 8192;
@@ -97,12 +96,9 @@ class BenchIo {
         perfetto_path = RequireValue(arg, "--perfetto");
       } else if (arg.rfind("--timeseries-window", 0) == 0 &&
                  (arg.size() == 19 || arg[19] == '=')) {
-        const std::string v = RequireValue(arg, "--timeseries-window");
-        timeseries_window = std::strtoull(v.c_str(), nullptr, 10);
-        if (timeseries_window == 0) {
-          std::fprintf(stderr, "usage: --timeseries-window=<refs> (> 0)\n");
-          std::exit(2);
-        }
+        timeseries_window = ParseU64OrExit("--timeseries-window",
+                                           RequireValue(arg, "--timeseries-window"), 1,
+                                           sim::kMaxTraceLength);
       } else if (arg.rfind("--timeseries", 0) == 0 &&
                  (arg.size() == 12 || arg[12] == '=')) {
         timeseries_path = RequireValue(arg, "--timeseries");
@@ -210,10 +206,6 @@ class BenchIo {
         writer_->KV("windows", timeseries_windows_);
         writer_->EndObject();
       }
-      // Lock-contention sites (live + retired — machines destroyed before
-      // this destructor still contribute their final counts).
-      writer_->Key("concurrency");
-      obs::ContentionRegistry::Global().ToJson(*writer_);
       writer_->EndObject();
       json_os_ << '\n';
       json_os_.flush();

@@ -15,17 +15,19 @@
 // allows perf_event_open — and the rusage fallback everywhere else.
 //
 //   --filter=<substr>      run only benchmarks whose name contains substr
-//   CPT_MICRO_ITERS=<n>    operations per repetition (default per-bench)
-//   CPT_MICRO_REPS=<n>     timed repetitions (default 5)
-//   CPT_MICRO_WARMUP=<n>   discarded warmup repetitions (default 1)
+//   CPT_MICRO_ITERS=<n>    operations per repetition (default per-bench;
+//                          0 = default, at most 100,000,000)
+//   CPT_MICRO_REPS=<n>     timed repetitions (default 5, 1..1000)
+//   CPT_MICRO_WARMUP=<n>   discarded warmup repetitions (default 1, 0..1000)
 //   CPT_MICRO_SLOWDOWN=<n> spin n empty loops per op inside the timed
 //                          region — a deliberate slowdown so the throughput
-//                          gate's red path is testable (default 0)
+//                          gate's red path is testable (default 0, at most
+//                          1,000,000)
+// A knob that is set but not an integer in its range exits 2.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -34,6 +36,7 @@
 
 #include "bench/bench_flags.h"
 #include "common/hotguard.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "mem/cache_model.h"
 #include "obs/perf.h"
@@ -51,12 +54,12 @@ inline void Keep(T const& value) {
   asm volatile("" : : "r,m"(value) : "memory");
 }
 
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
+// An unset knob keeps `fallback`; a set one must be an integer in
+// [min, max] or the bench exits 2 naming it.
+std::uint64_t EnvU64(const char* name, std::uint64_t fallback, std::uint64_t min,
+                     std::uint64_t max) {
   if (const char* env = std::getenv(name)) {
-    const std::uint64_t v = std::strtoull(env, nullptr, 10);
-    if (v > 0 || std::strcmp(env, "0") == 0) {
-      return v;
-    }
+    return ParseU64OrExit(name, env, min, max);
   }
   return fallback;
 }
@@ -230,10 +233,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::uint64_t env_iters = EnvU64("CPT_MICRO_ITERS", 0);
-  const std::uint64_t reps = std::max<std::uint64_t>(1, EnvU64("CPT_MICRO_REPS", 5));
-  const std::uint64_t warmup = EnvU64("CPT_MICRO_WARMUP", 1);
-  const std::uint64_t slowdown = EnvU64("CPT_MICRO_SLOWDOWN", 0);
+  const std::uint64_t env_iters = EnvU64("CPT_MICRO_ITERS", 0, 0, sim::kMaxTraceLength);
+  const std::uint64_t reps = EnvU64("CPT_MICRO_REPS", 5, 1, 1000);
+  const std::uint64_t warmup = EnvU64("CPT_MICRO_WARMUP", 1, 0, 1000);
+  const std::uint64_t slowdown = EnvU64("CPT_MICRO_SLOWDOWN", 0, 0, 1'000'000);
 
   std::vector<Micro> micros;
   const struct {

@@ -4,6 +4,9 @@
 //   $ build/examples/tlb_trace_sim [workload] [pt] [tlb] [refs]
 //   $ build/examples/tlb_trace_sim coral clustered complete-subblock 1000000
 //
+// `refs` is an integer in [0, 100000000]; 0 (or omitting it) runs the
+// workload's default trace length.  Anything else exits 2.
+//
 // Prints TLB statistics, cache-lines-per-miss, page-table sizes, and the
 // OS's block census — the full set of quantities behind Figures 9-11.
 #include <cstdio>
@@ -11,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/parse.h"
 #include "sim/experiments.h"
 #include "sim/machine.h"
 #include "workload/workload.h"
@@ -47,7 +51,8 @@ int main(int argc, char** argv) {
   sim::MachineOptions opts;
   opts.pt_kind = argc > 2 ? ParsePt(argv[2]) : sim::PtKind::kClustered;
   opts.tlb_kind = argc > 3 ? ParseTlb(argv[3]) : sim::TlbKind::kSinglePage;
-  const std::uint64_t refs = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
+  const std::uint64_t refs =
+      argc > 4 ? ParseU64OrExit("refs", argv[4], 0, sim::kMaxTraceLength) : 0;
 
   const workload::WorkloadSpec& spec = workload::GetPaperWorkload(workload);
   const workload::Snapshot snapshot = workload::BuildSnapshot(spec);

@@ -1,487 +1,29 @@
-// Thread-safety contract layer: annotated lock wrappers and atomic cells.
+// Thread lifetimes for the simulator's one concurrency primitive.
 //
-// The simulator's measurement loops are single-threaded, but ROADMAP item 1
-// (parallel trace replay) and the Section 3.1 lock-free R/M-bit maintenance
-// need a small set of concurrency primitives whose locking discipline is
-// machine-checked rather than tribal knowledge:
+// Every page table is single-writer: Insert*/Remove*/ProtectRange/UpsertWord
+// run on one thread.  The only concurrency contract is the paper's Section
+// 3.1 claim — concurrent Lookup/Peek plus atomic R/M-bit updates
+// (UpdateAttrFlags) on a table whose structure is frozen — and it lives in
+// AtomicMappingWord (common/pte.h), not in any lock.  Parallel experiment
+// drivers give each worker its own Machine, so no table ever has two
+// writers.  See DESIGN.md "Concurrency contract".
 //
-//   - Under Clang, every wrapper below carries Thread Safety Analysis
-//     capability attributes, so `-Wthread-safety -Werror` (CI's clang job)
-//     rejects code that touches a CPT_GUARDED_BY member without holding its
-//     mutex.  Under other compilers the attributes expand to nothing.
-//   - Under every compiler, debug builds CPT_DCHECK dynamic misuse the
-//     static analysis cannot see: unlocking a mutex that is not held, or
-//     destroying one while it is locked.
-//   - tools/cpt_lint.py closes the loop: `raw-sync-primitive` keeps bare
-//     std::mutex/std::lock_guard/std::thread/pthread out of the tree (this
-//     header is the one sanctioned home), `guarded-by-coverage` forces
-//     mutable members of CPT_SHARED classes to be guarded, atomic, or const,
-//     and `atomic-discipline` demands a justification comment next to every
-//     explicit memory_order argument.
-//
-// Every lock is also a telemetry source: cheap always-on counters record
-// acquisitions and contended acquisitions (detected try-lock-first), and the
-// CPT_CONTENTION_TIMING environment flag opts into per-lock wait-time
-// histograms.  src/obs/contention.h aggregates them into named sites; the
-// counters themselves live here so common/ stays dependency-free.
-//
-// See DESIGN.md "Concurrency contracts" and "Concurrency observability" for
-// the annotation conventions and the memory-order policy.
+// tools/cpt_lint.py's `raw-sync-primitive` rule keeps bare std::mutex /
+// std::thread / pthread out of the tree; this header is the one sanctioned
+// home for std::thread.
 #ifndef CPT_COMMON_SYNC_H_
 #define CPT_COMMON_SYNC_H_
 
-#include <algorithm>
-#include <atomic>
-#include <bit>
-#include <chrono>
-#include <cstdint>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
+#include <cstddef>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
-#include "common/hotpath.h"
-
-// ---------------------------------------------------------------------------
-// Clang Thread Safety Analysis attribute macros (no-ops elsewhere).
-// ---------------------------------------------------------------------------
-
-#if defined(__clang__)
-#define CPT_THREAD_ANNOTATION(x) __attribute__((x))
-#else
-#define CPT_THREAD_ANNOTATION(x)
-#endif
-
-// A lockable type (a capability in TSA terms).
-#define CPT_LOCKABLE CPT_THREAD_ANNOTATION(capability("mutex"))
-// An RAII type that acquires in its constructor and releases in its
-// destructor.
-#define CPT_SCOPED_LOCKABLE CPT_THREAD_ANNOTATION(scoped_lockable)
-// Data member: reads/writes require holding the named mutex.
-#define CPT_GUARDED_BY(x) CPT_THREAD_ANNOTATION(guarded_by(x))
-// Pointer member: the pointee (not the pointer) is guarded.
-#define CPT_PT_GUARDED_BY(x) CPT_THREAD_ANNOTATION(pt_guarded_by(x))
-// Function: caller must hold the listed mutexes (exclusive / shared).
-#define CPT_REQUIRES(...) CPT_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define CPT_REQUIRES_SHARED(...) \
-  CPT_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
-// Function: acquires / releases the listed mutexes.
-#define CPT_ACQUIRE(...) CPT_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define CPT_ACQUIRE_SHARED(...) \
-  CPT_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
-#define CPT_RELEASE(...) CPT_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define CPT_RELEASE_SHARED(...) \
-  CPT_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-#define CPT_TRY_ACQUIRE(...) CPT_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-// Function: caller must NOT hold the listed mutexes (deadlock prevention).
-#define CPT_EXCLUDES(...) CPT_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-// Escape hatch for code the analysis cannot model (dynamic lock sets).
-#define CPT_NO_THREAD_SAFETY_ANALYSIS CPT_THREAD_ANNOTATION(no_thread_safety_analysis)
-
-// Marks a class whose instances are part of the concurrency contract: they
-// may be reached from more than one thread, so every mutable data member
-// must be CPT_GUARDED_BY a mutex, an atomic cell, or const.  The marker
-// itself compiles to nothing; tools/cpt_lint.py's `guarded-by-coverage`
-// rule keys on the token and enforces the member discipline.
-#define CPT_SHARED
-
 namespace cpt {
 
-// ---------------------------------------------------------------------------
-// Copyable atomic cell.
-// ---------------------------------------------------------------------------
-
-// std::atomic<T> with two deliberate differences: every access names its
-// memory order in the method name (so call sites read as their ordering
-// contract), and the cell is copyable so it can live inside the simulator's
-// node/bucket containers.  Copying is NOT an atomic operation — it exists
-// solely for single-threaded structural phases (vector growth, table
-// construction, audit snapshots); concurrent phases must never copy cells.
-template <class T>
-class AtomicCell {
-  static_assert(std::is_trivially_copyable_v<T>);
-
- public:
-  constexpr AtomicCell() = default;
-  explicit constexpr AtomicCell(T v) : v_(v) {}
-
-  // relaxed: structural copy, only legal while no other thread accesses
-  // either cell (see the class comment).
-  AtomicCell(const AtomicCell& other) : v_(other.v_.load(std::memory_order_relaxed)) {}
-  AtomicCell& operator=(const AtomicCell& other) {
-    // relaxed: structural copy (single-threaded phases only; class comment).
-    v_.store(other.v_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    return *this;
-  }
-
-  // relaxed: for counters and flags where only the value, not the ordering
-  // of surrounding writes, matters to the reader.
-  T load_relaxed() const { return v_.load(std::memory_order_relaxed); }
-  // acquire: pairs with store_release publication of data written before it.
-  T load_acquire() const { return v_.load(std::memory_order_acquire); }
-  // relaxed: see load_relaxed.
-  void store_relaxed(T v) { v_.store(v, std::memory_order_relaxed); }
-  // release: publishes every write sequenced before it to acquire loaders.
-  void store_release(T v) { v_.store(v, std::memory_order_release); }
-
-  T fetch_add_relaxed(T delta)
-    requires std::is_integral_v<T>
-  {
-    // relaxed: statistics counter increment; readers only need the total.
-    return v_.fetch_add(delta, std::memory_order_relaxed);
-  }
-
-  T fetch_sub_relaxed(T delta)
-    requires std::is_integral_v<T>
-  {
-    // relaxed: statistics counter decrement; see fetch_add_relaxed.
-    return v_.fetch_sub(delta, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<T> v_{};
-};
-
-// ---------------------------------------------------------------------------
-// Contention telemetry plumbing.
-// ---------------------------------------------------------------------------
-
-// Process-wide switch for the opt-in wait-time histograms.  Resolved from
-// the CPT_CONTENTION_TIMING environment variable on first query (any
-// non-empty value other than "0" enables) and cached.  Locks snapshot the
-// switch at construction, so flipping it mid-run only affects locks created
-// afterwards — which is exactly what a test wants and what a bench never
-// does.
-bool ContentionTimingEnabled();
-// Test hook: overrides the cached switch for locks constructed after the
-// call.  Not thread-safe against concurrent lock construction.
-void SetContentionTimingForTest(bool enabled);
-
-// Wait-time histogram for contended acquisitions, log2(ns) buckets: bucket 0
-// counts zero-duration waits, bucket i counts waits with bit_width(ns) == i,
-// the last bucket absorbs everything from ~2s up.  Fixed-size and atomic so
-// Record() is wait-free and the struct needs no lock of its own.
-// Cache-aligned: the histogram is hammered from every contended waiter, and
-// without the alignment its first bucket would share a line with whatever
-// the allocator placed in front of it.
-struct CPT_CACHE_ALIGNED WaitHistogram {
-  static constexpr std::size_t kBuckets = 32;
-
-  AtomicCell<std::uint64_t> counts[kBuckets];
-  AtomicCell<std::uint64_t> total_ns;
-
-  void Record(std::uint64_t ns) {
-    const std::size_t b =
-        std::min<std::size_t>(static_cast<std::size_t>(std::bit_width(ns)), kBuckets - 1);
-    counts[b].fetch_add_relaxed(1);
-    total_ns.fetch_add_relaxed(ns);
-  }
-
-  std::uint64_t total_count() const {
-    std::uint64_t n = 0;
-    for (const auto& c : counts) {
-      n += c.load_relaxed();
-    }
-    return n;
-  }
-};
-
-namespace internal {
-
-// Monotonic nanosecond read for wait timing.  common/ sits below obs/, so
-// the shared timing layer (obs/timer.h) is unreachable from here without an
-// upward dependency; this is the one sanctioned raw clock read outside obs/,
-// and it is only ever executed on the already-slow contended path with
-// CPT_CONTENTION_TIMING set.
-inline std::uint64_t WaitClockNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now()  // cpt-lint: allow(timing-discipline)
-              .time_since_epoch())
-          .count());
-}
-
-}  // namespace internal
-
-// ---------------------------------------------------------------------------
-// Annotated lock wrappers.
-// ---------------------------------------------------------------------------
-
-// std::mutex with TSA capability attributes plus debug-build misuse checks.
-// The wrapped primitive is deliberately not exposed: locking goes through
-// the annotated methods (usually via MutexLock) so the analysis sees every
-// acquire/release pair.
-//
-// Telemetry: lock() runs try-lock-first, so `acquisitions` counts every
-// exclusive acquisition exactly while `contended` counts the subset that
-// found the mutex held and had to block.  (std::mutex::try_lock may fail
-// spuriously, so `contended` is a close approximation, not an oracle —
-// treat it as a heat signal, never assert exact values on it.)  When the
-// lock was constructed with contention timing enabled, contended waits are
-// additionally timed into a WaitHistogram.
-//
-// Cache-aligned: stripe sets and lock arrays place Mutexes back to back,
-// and each one mixes the kernel futex word with write-hot telemetry
-// counters — unaligned, two neighboring stripes would ping-pong one line
-// between cores and the stripe partitioning would buy nothing.
-class CPT_CACHE_ALIGNED CPT_LOCKABLE Mutex {
- public:
-  Mutex()
-      : wait_histo_(ContentionTimingEnabled() ? std::make_unique<WaitHistogram>() : nullptr) {}
-  // relaxed: destruction racing any lock op is already a use-after-free.
-  ~Mutex() { CPT_DCHECK(!held_.load(std::memory_order_relaxed), "Mutex destroyed while held"); }
-  Mutex(const Mutex&) = delete;
-  Mutex& operator=(const Mutex&) = delete;
-
-  void lock() CPT_ACQUIRE() {
-    if (!mu_.try_lock()) {
-      contended_.fetch_add_relaxed(1);
-      if (wait_histo_ != nullptr) {
-        const std::uint64_t t0 = internal::WaitClockNs();
-        mu_.lock();
-        wait_histo_->Record(internal::WaitClockNs() - t0);
-      } else {
-        mu_.lock();
-      }
-    }
-    acquisitions_.fetch_add_relaxed(1);
-    // relaxed: held_ is only read/written by the lock holder (and by the
-    // destructor/DCHECKs, which race only when the program is already wrong).
-    held_.store(true, std::memory_order_relaxed);
-  }
-
-  void unlock() CPT_RELEASE() {
-    // relaxed: see lock(); the flag is diagnostic state owned by the holder.
-    CPT_DCHECK(held_.load(std::memory_order_relaxed), "unlock of a Mutex not held");
-    held_.store(false, std::memory_order_relaxed);
-    mu_.unlock();
-  }
-
-  bool try_lock() CPT_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) {
-      return false;
-    }
-    acquisitions_.fetch_add_relaxed(1);
-    // relaxed: see lock().
-    held_.store(true, std::memory_order_relaxed);
-    return true;
-  }
-
-  // --- telemetry (readable at any time; counters are relaxed) ---
-  // Total successful exclusive acquisitions (lock() + successful try_lock()).
-  std::uint64_t acquisitions() const { return acquisitions_.load_relaxed(); }
-  // Acquisitions that found the mutex held and blocked.
-  std::uint64_t contended() const { return contended_.load_relaxed(); }
-  // Non-null iff this lock was constructed with contention timing enabled.
-  const WaitHistogram* wait_histogram() const { return wait_histo_.get(); }
-
- private:
-  std::mutex mu_;
-  std::atomic<bool> held_{false};
-  AtomicCell<std::uint64_t> acquisitions_;
-  AtomicCell<std::uint64_t> contended_;
-  std::unique_ptr<WaitHistogram> wait_histo_;
-};
-
-// Adjacent Mutexes (StripeSet arrays) must start on distinct
-// destructive-interference lines; cross-checked against the layout ledger.
-static_assert(alignof(Mutex) == CPT_CACHE_LINE);
-static_assert(sizeof(Mutex) % CPT_CACHE_LINE == 0);
-
-// std::shared_mutex with TSA attributes: exclusive lock for writers, shared
-// lock for concurrent readers.  Misuse checks mirror Mutex; the reader count
-// additionally catches destroy-while-readers-active.  Telemetry mirrors
-// Mutex with separate exclusive/shared counter pairs; one WaitHistogram
-// covers both flavors of contended wait (per-flavor split was not worth a
-// second 33-word array per lock).  Cache-aligned for the same reason as
-// Mutex: the primitive and its telemetry live on the lock's own lines.
-class CPT_CACHE_ALIGNED CPT_LOCKABLE SharedMutex {
- public:
-  SharedMutex()
-      : wait_histo_(ContentionTimingEnabled() ? std::make_unique<WaitHistogram>() : nullptr) {}
-  ~SharedMutex() {
-    // relaxed: destruction racing any lock op is already a use-after-free.
-    CPT_DCHECK(!held_.load(std::memory_order_relaxed), "SharedMutex destroyed while held");
-    CPT_DCHECK(readers_.load(std::memory_order_relaxed) == 0,
-               "SharedMutex destroyed with active readers");
-  }
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() CPT_ACQUIRE() {
-    if (!mu_.try_lock()) {
-      contended_.fetch_add_relaxed(1);
-      if (wait_histo_ != nullptr) {
-        const std::uint64_t t0 = internal::WaitClockNs();
-        mu_.lock();
-        wait_histo_->Record(internal::WaitClockNs() - t0);
-      } else {
-        mu_.lock();
-      }
-    }
-    acquisitions_.fetch_add_relaxed(1);
-    // relaxed: held_ is diagnostic state owned by the exclusive holder.
-    held_.store(true, std::memory_order_relaxed);
-  }
-
-  void unlock() CPT_RELEASE() {
-    // relaxed: see lock().
-    CPT_DCHECK(held_.load(std::memory_order_relaxed), "unlock of a SharedMutex not held");
-    held_.store(false, std::memory_order_relaxed);
-    mu_.unlock();
-  }
-
-  void lock_shared() CPT_ACQUIRE_SHARED() {
-    if (!mu_.try_lock_shared()) {
-      shared_contended_.fetch_add_relaxed(1);
-      if (wait_histo_ != nullptr) {
-        const std::uint64_t t0 = internal::WaitClockNs();
-        mu_.lock_shared();
-        wait_histo_->Record(internal::WaitClockNs() - t0);
-      } else {
-        mu_.lock_shared();
-      }
-    }
-    shared_acquisitions_.fetch_add_relaxed(1);
-    // relaxed: the counter is diagnostic; the shared_mutex provides ordering.
-    readers_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void unlock_shared() CPT_RELEASE_SHARED() {
-    // relaxed: see lock_shared().
-    CPT_DCHECK(readers_.load(std::memory_order_relaxed) > 0,
-               "unlock_shared of a SharedMutex with no readers");
-    // relaxed: diagnostic counter; the shared_mutex provides the ordering.
-    readers_.fetch_sub(1, std::memory_order_relaxed);
-    mu_.unlock_shared();
-  }
-
-  // --- telemetry (readable at any time; counters are relaxed) ---
-  std::uint64_t acquisitions() const { return acquisitions_.load_relaxed(); }
-  std::uint64_t contended() const { return contended_.load_relaxed(); }
-  std::uint64_t shared_acquisitions() const { return shared_acquisitions_.load_relaxed(); }
-  std::uint64_t shared_contended() const { return shared_contended_.load_relaxed(); }
-  const WaitHistogram* wait_histogram() const { return wait_histo_.get(); }
-
- private:
-  std::shared_mutex mu_;
-  std::atomic<bool> held_{false};
-  std::atomic<int> readers_{0};
-  AtomicCell<std::uint64_t> acquisitions_;
-  AtomicCell<std::uint64_t> contended_;
-  AtomicCell<std::uint64_t> shared_acquisitions_;
-  AtomicCell<std::uint64_t> shared_contended_;
-  std::unique_ptr<WaitHistogram> wait_histo_;
-};
-
-static_assert(alignof(SharedMutex) == CPT_CACHE_LINE);
-static_assert(alignof(WaitHistogram) == CPT_CACHE_LINE);
-
-// Scoped exclusive lock (the only idiomatic way to take a cpt::Mutex).
-class CPT_SCOPED_LOCKABLE MutexLock {
- public:
-  explicit MutexLock(Mutex& mu) CPT_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  ~MutexLock() CPT_RELEASE() { mu_.unlock(); }
-  MutexLock(const MutexLock&) = delete;
-  MutexLock& operator=(const MutexLock&) = delete;
-
- private:
-  Mutex& mu_;
-};
-
-// Scoped shared (reader) lock over a SharedMutex.
-class CPT_SCOPED_LOCKABLE SharedMutexLock {
- public:
-  explicit SharedMutexLock(SharedMutex& mu) CPT_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~SharedMutexLock() CPT_RELEASE() { mu_.unlock_shared(); }
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-// ---------------------------------------------------------------------------
-// Lock striping.
-// ---------------------------------------------------------------------------
-
-// A power-of-two array of mutexes for striped locking over a hash space.
-// The stripe for a key is picked by masking its hash, so two keys contend
-// only when they collide mod `count`.  TSA cannot statically name a
-// dynamically selected stripe; callers take the returned Mutex through
-// MutexLock, and the containing class documents the stripe discipline (see
-// pt::HashedPageTable for the pattern).
-//
-// Each stripe carries the Mutex telemetry above; stripe(i) exposes them for
-// per-stripe heat maps (obs/contention.h renders the breakdown).
-class StripeSet {
- public:
-  // count == 0 builds an empty set (striping disabled).
-  explicit StripeSet(unsigned count)
-      : count_(count), stripes_(count > 0 ? std::make_unique<Mutex[]>(count) : nullptr) {
-    CPT_CHECK(count == 0 || (count & (count - 1)) == 0,
-              "stripe count must be zero or a power of two");
-  }
-
-  bool empty() const { return count_ == 0; }
-  unsigned count() const { return count_; }
-
-  // The stripe owning `hash`.  Only valid on a non-empty set.
-  Mutex& StripeFor(std::uint64_t hash) const {
-    CPT_DCHECK(count_ > 0, "StripeFor on an empty StripeSet");
-    return stripes_[hash & (count_ - 1)];
-  }
-
-  // The index StripeFor would pick (for telemetry labels and tests).
-  unsigned IndexFor(std::uint64_t hash) const {
-    CPT_DCHECK(count_ > 0, "IndexFor on an empty StripeSet");
-    return static_cast<unsigned>(hash & (count_ - 1));
-  }
-
-  // Read-only access to stripe `i`'s telemetry counters.
-  const Mutex& stripe(unsigned i) const {
-    CPT_DCHECK(i < count_, "stripe index out of range");
-    return stripes_[i];
-  }
-
-  // Sum of per-stripe exclusive acquisitions (lock-free snapshot; exact once
-  // all writers have quiesced).
-  std::uint64_t total_acquisitions() const {
-    std::uint64_t n = 0;
-    for (unsigned i = 0; i < count_; ++i) {
-      n += stripes_[i].acquisitions();
-    }
-    return n;
-  }
-
-  // Sum of per-stripe contended acquisitions (approximate; see Mutex).
-  std::uint64_t total_contended() const {
-    std::uint64_t n = 0;
-    for (unsigned i = 0; i < count_; ++i) {
-      n += stripes_[i].contended();
-    }
-    return n;
-  }
-
- private:
-  unsigned count_;
-  std::unique_ptr<Mutex[]> stripes_;
-};
-
-// ---------------------------------------------------------------------------
-// Thread group.
-// ---------------------------------------------------------------------------
-
-// The sanctioned home for std::thread (the raw-sync-primitive lint rule bans
-// it elsewhere in src/ and bench/): a join-on-destruction worker group, so
-// thread lifetimes are scoped to an object and detached threads cannot
-// exist.  Threads are joined in spawn order.
+// A join-on-destruction worker group, so thread lifetimes are scoped to an
+// object and detached threads cannot exist.  Threads are joined in spawn
+// order.
 class ThreadGroup {
  public:
   ThreadGroup() = default;

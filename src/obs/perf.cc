@@ -133,6 +133,10 @@ void ToJson(JsonWriter& w, const HostPerfSample& s) {
   w.KV("major_faults", s.major_faults);
   w.KV("voluntary_ctx_switches", s.voluntary_ctx_switches);
   w.KV("involuntary_ctx_switches", s.involuntary_ctx_switches);
+  if (!s.available) {
+    w.EndObject();
+    return;
+  }
   w.Key("counters");
   w.BeginObject();
   w.KV("cycles", s.cycles);

@@ -1,7 +1,7 @@
 // Host-performance counters: where the *simulator's own* cycles go.
 //
 // The paper's metrics are simulated cache lines; the ROADMAP's speed work
-// (parallel replay shards, the 10x refs/sec hot-path overhaul) needs the
+// (the per-layer cost ledger, the refs/sec hot-path overhaul) needs the
 // other half — host cycles, instructions, LLC misses, dTLB misses — so a
 // claimed win is measurable and a regression is gateable.  HostPerfCounters
 // opens one perf_event counter group over the calling thread and brackets a
@@ -13,9 +13,9 @@
 // perf_event_paranoid, ENOSYS elsewhere).  Construction never fails — when
 // the group cannot be opened, available() is false, unavailable_reason()
 // says why, and samples still carry the getrusage + wall-clock fallback.
-// The JSON shape is IDENTICAL in both modes (counters read as zero), so a
-// report produced on a perf-less host stays schema-valid and byte-layout
-// compatible with one from bare metal; only values differ.  Setting
+// The JSON omits the "counters" and "derived" objects in the degraded mode
+// (they would only repeat zeros), so a report says plainly which
+// measurements were unavailable and stays schema-valid either way.  Setting
 // CPT_NO_HOST_PERF=1 forces the degraded path (how tests pin it).
 //
 // This header and perf.cc are (with obs/timer.h) the only files allowed to
@@ -71,9 +71,9 @@ struct HostPerfSample {
   void Accumulate(const HostPerfSample& other);
 };
 
-// Emits the sample as one JSON object with a shape that does not depend on
-// availability: {available, source, reason, wall/user/sys seconds, rusage
-// counters, "counters": {...}, "derived": {ipc, *_mpki}}.
+// Emits the sample as one JSON object: {available, source, reason,
+// wall/user/sys seconds, rusage counters}, plus "counters": {...} and
+// "derived": {ipc, *_mpki} only when `available` is true.
 void ToJson(JsonWriter& w, const HostPerfSample& s);
 
 // A perf_event counter group over the calling thread, reusable across many

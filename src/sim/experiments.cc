@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/parse.h"
 #include "obs/perf.h"
 
 namespace cpt::sim {
@@ -195,10 +196,7 @@ std::vector<std::string> AllWorkloadNames() {
 
 std::uint64_t TraceLengthFromEnv(std::uint64_t fallback) {
   if (const char* env = std::getenv("CPT_TRACE_LEN")) {
-    const std::uint64_t v = std::strtoull(env, nullptr, 10);
-    if (v > 0) {
-      return v;
-    }
+    return ParseU64OrExit("CPT_TRACE_LEN", env, 1, kMaxTraceLength);
   }
   return fallback;
 }

@@ -118,8 +118,15 @@ std::vector<std::string> TraceWorkloadNames();
 // All workload names including "kernel".
 std::vector<std::string> AllWorkloadNames();
 
+// Largest accepted trace length (CPT_TRACE_LEN, tlb_trace_sim's refs
+// argument, --timeseries-window): well above the largest paper default of
+// 6,000,000 references, low enough that a typo cannot start a run of days.
+inline constexpr std::uint64_t kMaxTraceLength = 100'000'000;
+
 // Reads a trace-length override from the CPT_TRACE_LEN environment variable
-// (benches use it to trade precision for speed); falls back to `fallback`.
+// (benches use it to trade precision for speed); falls back to `fallback`
+// when the variable is unset.  Any value that is not an integer in
+// [1, kMaxTraceLength] exits 2 naming the variable.
 std::uint64_t TraceLengthFromEnv(std::uint64_t fallback);
 
 }  // namespace cpt::sim

@@ -2,10 +2,10 @@
 # Runs a bench binary with CPT_NO_HOST_PERF=1 (the deterministic stand-in
 # for EPERM/ENOSYS perf_event_open environments) and requires that it
 #   1. exits 0 — a perf-less host must never fail a bench run,
-#   2. produces a report that tools/check_bench_json.py accepts — the JSON
-#      shape is availability-invariant, and
+#   2. produces a report that tools/check_bench_json.py accepts, and
 #   3. stamps the degraded mode honestly (available false, rusage source,
-#      a non-empty reason naming the override).
+#      a non-empty reason naming the override, no all-zero "counters" or
+#      "derived" blocks).
 #
 # Invoked as:
 #   cmake -DBENCH=<binary> -DCHECKER=<check_bench_json.py> -DPYTHON=<python3>
@@ -38,5 +38,8 @@ if(NOT report MATCHES "\"source\": \"rusage\"")
 endif()
 if(NOT report MATCHES "disabled by CPT_NO_HOST_PERF")
   message(FATAL_ERROR "degraded report does not carry the forced-off reason")
+endif()
+if(report MATCHES "\"counters\"" OR report MATCHES "\"derived\"")
+  message(FATAL_ERROR "degraded report still carries counters/derived blocks")
 endif()
 message(STATUS "degraded bench report is schema-valid and honestly stamped")

@@ -1,16 +1,17 @@
 // Tests for common utilities: deterministic RNG, bucket hashing, the
-// statistics helpers (including the parallel-merge combines), and the lock
-// telemetry counters in common/sync.h.
+// statistics helpers (including the merge combines), and the strict
+// numeric-knob parser in common/parse.h.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/sync.h"
 
 namespace cpt {
 namespace {
@@ -185,7 +186,7 @@ TEST(StatsTest, FormatBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel merges (sharded-telemetry fan-in; see obs/sharded.h).
+// Merges: folding one summary into another equals a single stream.
 // ---------------------------------------------------------------------------
 
 TEST(StatsTest, RunningStatsMergeMatchesSingleStream) {
@@ -272,176 +273,34 @@ TEST(StatsTest, HistogramMergeFoldsWiderBucketsIntoOverflow) {
 }
 
 // ---------------------------------------------------------------------------
-// Lock telemetry (common/sync.h counters; sites render via obs/contention).
+// ParseU64: the one gate every numeric env knob and CLI flag goes through.
 // ---------------------------------------------------------------------------
 
-TEST(SyncTelemetryTest, MutexCountsAcquisitions) {
-  Mutex mu;
-  EXPECT_EQ(mu.acquisitions(), 0u);
-  for (int i = 0; i < 3; ++i) {
-    MutexLock lock(mu);
-  }
-  EXPECT_TRUE(mu.try_lock());
-  mu.unlock();
-  EXPECT_EQ(mu.acquisitions(), 4u);
-  // Single-threaded locking never contends.
-  EXPECT_EQ(mu.contended(), 0u);
+TEST(ParseU64Test, AcceptsPlainDecimalsInRange) {
+  EXPECT_EQ(ParseU64("0", 0, 10), 0u);
+  EXPECT_EQ(ParseU64("7", 1, 10), 7u);
+  EXPECT_EQ(ParseU64("007", 1, 10), 7u);
+  EXPECT_EQ(ParseU64("18446744073709551615", 0, UINT64_MAX), UINT64_MAX);
 }
 
-TEST(SyncTelemetryTest, MutexContendedAcquisitionIsCounted) {
-  Mutex mu;
-  mu.lock();
-  ThreadGroup worker;
-  worker.Spawn([&mu] {
-    MutexLock lock(mu);  // Blocks until the main thread releases.
-  });
-  // The worker bumps `contended` *before* blocking, so polling the counter
-  // is a deterministic rendezvous: once it reads 1 the worker is committed
-  // to the slow path and unlocking lets it through.
-  while (mu.contended() == 0) {
-  }
-  mu.unlock();
-  worker.JoinAll();
-  EXPECT_EQ(mu.acquisitions(), 2u);
-  EXPECT_EQ(mu.contended(), 1u);
-}
-
-TEST(SyncTelemetryTest, SharedMutexSplitsSharedAndExclusiveCounts) {
-  SharedMutex mu;
-  {
-    SharedMutexLock r1(mu);
-  }
-  {
-    SharedMutexLock r2(mu);
-  }
-  mu.lock();
-  mu.unlock();
-  EXPECT_EQ(mu.shared_acquisitions(), 2u);
-  EXPECT_EQ(mu.acquisitions(), 1u);
-  EXPECT_EQ(mu.contended(), 0u);
-  EXPECT_EQ(mu.shared_contended(), 0u);
-}
-
-TEST(SyncTelemetryTest, WaitHistogramOnlyWhenTimingEnabled) {
-  // The flag is snapshotted at lock construction: locks born with it off
-  // never allocate the histogram, locks born with it on always do.
-  SetContentionTimingForTest(false);
-  const Mutex cold;
-  EXPECT_EQ(cold.wait_histogram(), nullptr);
-
-  SetContentionTimingForTest(true);
-  Mutex hot;
-  ASSERT_NE(hot.wait_histogram(), nullptr);
-  SetContentionTimingForTest(false);
-
-  hot.lock();
-  ThreadGroup worker;
-  worker.Spawn([&hot] {
-    MutexLock lock(hot);
-  });
-  while (hot.contended() == 0) {
-  }
-  hot.unlock();
-  worker.JoinAll();
-  // Every contended acquisition records exactly one timed wait.
-  EXPECT_EQ(hot.wait_histogram()->total_count(), 1u);
-}
-
-TEST(SyncTelemetryTest, WaitHistogramBucketsAreLog2) {
-  WaitHistogram h;
-  h.Record(0);     // bit_width(0) == 0.
-  h.Record(1);     // bit_width(1) == 1.
-  h.Record(1023);  // bit_width == 10.
-  h.Record(~std::uint64_t{0});  // Clamped into the last bucket.
-  EXPECT_EQ(h.counts[0].load_relaxed(), 1u);
-  EXPECT_EQ(h.counts[1].load_relaxed(), 1u);
-  EXPECT_EQ(h.counts[10].load_relaxed(), 1u);
-  EXPECT_EQ(h.counts[WaitHistogram::kBuckets - 1].load_relaxed(), 1u);
-  EXPECT_EQ(h.total_count(), 4u);
-}
-
-// ---------------------------------------------------------------------------
-// Stripe selection (common/sync.h StripeSet).
-// ---------------------------------------------------------------------------
-
-TEST(StripeSetTest, IndexForMatchesStripeFor) {
-  const StripeSet stripes(8);
-  for (std::uint64_t h = 0; h < 64; ++h) {
-    EXPECT_EQ(&stripes.StripeFor(h), &stripes.stripe(stripes.IndexFor(h)));
-    EXPECT_EQ(stripes.IndexFor(h), h & 7u);
+TEST(ParseU64Test, RejectsMalformedSignedAndExponentText) {
+  for (const char* bad : {"", "-5", "+7", "1e3", "abc", " 5", "5 ", "5x", "0x10", "1.0"}) {
+    EXPECT_FALSE(ParseU64(bad, 0, UINT64_MAX).has_value()) << "'" << bad << "'";
   }
 }
 
-TEST(StripeSetTest, MixedHashesSpreadAcrossStripes) {
-  // Stripe selection masks the low bits, so anything upstream must feed it
-  // mixed hashes (HashedPageTable stripes by bucket index, post-hasher).
-  // Mixing sequential keys must land within 25% of the uniform share.
-  constexpr unsigned kStripes = 16;
-  constexpr std::uint64_t kSamples = 1 << 14;
-  const StripeSet stripes(kStripes);
-  std::vector<std::uint64_t> hits(kStripes, 0);
-  for (std::uint64_t k = 0; k < kSamples; ++k) {
-    ++hits[stripes.IndexFor(Mix64(k))];
-  }
-  const double share = static_cast<double>(kSamples) / kStripes;
-  for (unsigned i = 0; i < kStripes; ++i) {
-    EXPECT_GT(hits[i], share * 0.75) << "stripe " << i;
-    EXPECT_LT(hits[i], share * 1.25) << "stripe " << i;
-  }
+TEST(ParseU64Test, RejectsOverflowAndOutOfRange) {
+  EXPECT_FALSE(ParseU64("18446744073709551616", 0, UINT64_MAX).has_value());
+  EXPECT_FALSE(ParseU64("99999999999999999999999", 0, UINT64_MAX).has_value());
+  EXPECT_FALSE(ParseU64("0", 1, 10).has_value());
+  EXPECT_FALSE(ParseU64("11", 1, 10).has_value());
+  EXPECT_EQ(ParseU64("10", 1, 10), 10u);
 }
 
-TEST(StripeSetTest, TotalsSumPerStripeCounters) {
-  const StripeSet stripes(4);
-  // Lock stripe 1 twice and stripe 3 once; totals must reconcile exactly.
-  for (const std::uint64_t hash : {1u, 5u, 3u}) {
-    MutexLock lock(stripes.StripeFor(hash));
-  }
-  EXPECT_EQ(stripes.stripe(1).acquisitions(), 2u);
-  EXPECT_EQ(stripes.stripe(3).acquisitions(), 1u);
-  EXPECT_EQ(stripes.total_acquisitions(), 3u);
-  EXPECT_EQ(stripes.total_contended(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// AtomicCell structural-copy contract (single-threaded phases only).
-// ---------------------------------------------------------------------------
-
-TEST(AtomicCellTest, StructuralCopyPreservesValues) {
-  AtomicCell<std::uint64_t> a{41};
-  a.fetch_add_relaxed(1);
-  const AtomicCell<std::uint64_t> b(a);  // NOLINT(performance-unnecessary-copy-initialization)
-  EXPECT_EQ(b.load_relaxed(), 42u);
-  AtomicCell<std::uint64_t> c;
-  c = a;
-  EXPECT_EQ(c.load_relaxed(), 42u);
-  // The copy is a snapshot, not an alias.
-  a.fetch_add_relaxed(1);
-  EXPECT_EQ(b.load_relaxed(), 42u);
-  EXPECT_EQ(c.load_relaxed(), 42u);
-}
-
-TEST(AtomicCellTest, VectorGrowthCopiesCells) {
-  // The structural-copy carve-out exists exactly for this: containers of
-  // cells (bucket heads, per-stripe counters) may grow during
-  // single-threaded setup phases without losing their values.
-  std::vector<AtomicCell<std::uint64_t>> cells;
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    cells.emplace_back(i);
-  }
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(cells[i].load_relaxed(), i);
-  }
-}
-
-TEST(StripeSetDeathTest, OutOfRangeStripeIndexDies) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "CPT_DCHECK compiled out";
-#else
-  const StripeSet stripes(4);
-  EXPECT_DEATH(stripes.stripe(4), "stripe index out of range");
-  const StripeSet none(0);
-  EXPECT_DEATH(none.IndexFor(1), "IndexFor on an empty StripeSet");
-#endif
+TEST(ParseU64Test, OrExitNamesTheKnobAndExitsTwo) {
+  EXPECT_EXIT(ParseU64OrExit("CPT_KNOB", "1e3", 1, 10), ::testing::ExitedWithCode(2),
+              "CPT_KNOB: invalid value '1e3' \\(expected an integer in \\[1, 10\\]\\)");
+  EXPECT_EQ(ParseU64OrExit("CPT_KNOB", "10", 1, 10), 10u);
 }
 
 }  // namespace

@@ -1,12 +1,7 @@
-// Fixture: false-sharing.  Two shapes of the defect:
-//   (A) per-shard/per-stripe containers whose element type is smaller than
-//       a destructive-interference line — adjacent shards ping-pong one
-//       host cache line between writer threads;
-//   (B) inside a CPT_SHARED class, fields that different threads update
-//       independently (distinct guards, or an atomic next to a lock)
-//       landing on one 64-byte line.
-// Aligned / regrouped variants of both must stay silent, as must the
-// at-site suppression.
+// Fixture: false-sharing.  Per-shard/per-stripe containers whose element
+// type is smaller than a destructive-interference line — adjacent shards
+// ping-pong one host cache line between writer threads.  Aligned variants
+// must stay silent, as must the at-site suppression.
 #ifndef CPT_TESTS_LINT_FIXTURES_LAYOUT_FALSE_SHARING_H_
 #define CPT_TESTS_LINT_FIXTURES_LAYOUT_FALSE_SHARING_H_
 
@@ -16,7 +11,6 @@
 #include <vector>
 
 #include "common/hotpath.h"
-#include "common/sync.h"
 
 namespace fx {
 
@@ -56,34 +50,6 @@ class ShardedCounters {
 
   // GOOD (suppressed): cold snapshot copy, never written concurrently.
   std::vector<Counter> dead_shards_;  // cpt-lint: allow(false-sharing)
-};
-
-// BAD: two capabilities carve this class into independently-updated halves,
-// but both guarded fields land on host line 0.
-class CPT_SHARED SplitCounters {
- public:
-  void BumpFast();
-  void BumpSlow();
-
- private:
-  std::uint64_t fast_total_ CPT_GUARDED_BY(fast_mu_) = 0;
-  std::uint64_t slow_total_ CPT_GUARDED_BY(slow_mu_) = 0;
-  Mutex fast_mu_;
-  Mutex slow_mu_;
-};
-
-// GOOD: same two capabilities, but each guarded field sits on its own line
-// (CPT_CACHE_ALIGNED hoists the field to a fresh 64-byte boundary).
-class CPT_SHARED RegroupedCounters {
- public:
-  void BumpFast();
-  void BumpSlow();
-
- private:
-  CPT_CACHE_ALIGNED std::uint64_t fast_total_ CPT_GUARDED_BY(fast_mu_) = 0;
-  CPT_CACHE_ALIGNED std::uint64_t slow_total_ CPT_GUARDED_BY(slow_mu_) = 0;
-  Mutex fast_mu_;
-  Mutex slow_mu_;
 };
 
 }  // namespace fx

@@ -1,8 +1,8 @@
 // Fixture: raw-sync-primitive.
 //
-// Synchronization primitives outside common/sync.h must be the annotated
-// cpt wrappers (cpt::Mutex, cpt::MutexLock, ...), never bare std or
-// pthread primitives, so Clang TSA sees every capability.
+// No synchronization primitives outside common/sync.h: page tables are
+// single-writer and threads go through cpt::ThreadGroup, never bare std or
+// pthread primitives.
 #include <mutex>
 
 namespace fx {
@@ -22,7 +22,7 @@ void InitRaw() {
 
 std::condition_variable g_cv;  // BAD: condition variables have no wrapper yet
 
-std::atomic_flag g_spin = ATOMIC_FLAG_INIT;  // BAD: use cpt::AtomicCell
+std::atomic_flag g_spin = ATOMIC_FLAG_INIT;  // BAD: a spin lock by another name
 
 void SpawnDetached() {
   std::thread worker([] {});  // BAD: bare thread; use cpt::ThreadGroup

@@ -11,6 +11,7 @@
 #include "common/stats.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
+#include "obs/perfetto.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "sim/machine.h"
@@ -252,6 +253,44 @@ TEST(RingBufferTracerTest, WriteJsonlAfterWraparoundIsChronological) {
             "{\"kind\":\"walk_step\",\"asid\":0,\"vpn\":1,\"step\":1,\"lines\":1}\n"
             "{\"kind\":\"walk_step\",\"asid\":0,\"vpn\":2,\"step\":1,\"lines\":1}\n"
             "{\"kind\":\"walk_step\",\"asid\":0,\"vpn\":3,\"step\":1,\"lines\":1}\n");
+}
+
+// --- PerfettoExporter track layout --------------------------------------
+
+TEST(PerfettoShardTest, SingleShardTraceHasNoShardSuffixes) {
+  // One fixed set of tracks, named once up front in tid order; every event
+  // lands on those tids.  Committed traces depend on this exact prefix.
+  std::ostringstream os;
+  {
+    PerfettoExporter exporter(os);
+    exporter.Record({.kind = EventKind::kTlbMiss, .vpn = Vpn{0x60}});
+    exporter.Finish();
+  }
+  const std::string trace = os.str();
+  EXPECT_EQ(trace.rfind(
+                "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
+                "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,"
+                "\"args\":{\"name\":\"cpt-sim\"}},"
+                "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":1,"
+                "\"args\":{\"name\":\"TLB\"}},"
+                "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":2,"
+                "\"args\":{\"name\":\"PT walk\"}},"
+                "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":3,"
+                "\"args\":{\"name\":\"OS\"}},"
+                "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":4,"
+                "\"args\":{\"name\":\"allocator\"}},"
+                "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":5,"
+                "\"args\":{\"name\":\"softTLB\"}},"
+                "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":6,"
+                "\"args\":{\"name\":\"sections\"}},"
+                "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":7,"
+                "\"args\":{\"name\":\"timeseries\"}},"
+                "{\"ph\":\"i\",\"name\":\"tlb_miss\",\"pid\":0,\"tid\":1,\"ts\":1,\"s\":\"t\"}",
+                0),
+            0u)
+      << trace;
+  EXPECT_EQ(trace.find("(shard"), std::string::npos);
+  EXPECT_EQ(trace.find("\"tid\":9"), std::string::npos);
 }
 
 // --- StatsTracer ---------------------------------------------------------

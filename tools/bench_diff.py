@@ -5,9 +5,11 @@ The simulator is deterministic: for an identical RNG seed and trace length,
 every *simulated* metric (miss counts, lines per miss, page-table bytes,
 histograms, attribution cells, ...) must match the baseline bit for bit.
 Wall-clock-derived keys (wall_seconds, refs_per_sec, misses_per_sec) and
-host-side subtrees (timing, host_perf, throughput, timeseries, phases,
-concurrency) are machine noise; they are reported but only enforced when
---time-tol is given.
+host-side subtrees (timing, host_perf, throughput, timeseries, phases) are
+machine noise; they are reported but only enforced when --time-tol is
+given.  A host-side key present in only one report (schema v4 omits
+host_perf "counters"/"derived" where perf_event was unavailable) is noise
+too, never a structural mismatch.
 
 --throughput-tol adds a one-sided gate on the schema-v2 throughput keys
 (the report's aggregate refs_per_sec plus every micro entry's
@@ -33,9 +35,8 @@ TIMING_KEYS = {"wall_seconds", "refs_per_sec", "misses_per_sec"}
 
 # Subtrees that are host-side measurements end to end: anything under a
 # component with one of these names is timing noise (perf counters, rusage,
-# per-phase rates, per-rep throughput samples, lock-contention counters).
-TIMING_SUBTREES = {"timing", "host_perf", "throughput", "timeseries", "phases",
-                   "concurrency"}
+# per-phase rates, per-rep throughput samples).
+TIMING_SUBTREES = {"timing", "host_perf", "throughput", "timeseries", "phases"}
 
 
 def flatten(value, prefix=""):
@@ -113,7 +114,10 @@ class Diff:
         base_flat = dict(flatten(base))
         cur_flat = dict(flatten(cur))
         for path in sorted(base_flat.keys() | cur_flat.keys()):
-            if path not in cur_flat:
+            if (path not in cur_flat or path not in base_flat) and is_timing(path):
+                self.rows.append((where, path, base_flat.get(path, "<absent>"),
+                                  cur_flat.get(path, "<absent>"), "host noise (one side only)"))
+            elif path not in cur_flat:
                 self.structural(where, f"'{path}' missing from current")
             elif path not in base_flat:
                 self.structural(where, f"'{path}' not in baseline")

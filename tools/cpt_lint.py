@@ -44,29 +44,26 @@ Rules (see DESIGN.md "Static analysis" for the catalog and policy):
                           names) cross public-header APIs as the strong
                           types from common/types.h, never raw
                           std::uint64_t parameters or returns.
-  guarded-by-coverage     mutable data members of CPT_SHARED-marked classes
-                          must be CPT_GUARDED_BY, atomic, or const.
   atomic-discipline       every explicit memory_order_* argument carries an
                           adjacent justification comment, and a member
                           accessed through the atomic API is never also
                           mutated with raw assignment in the same file.
   raw-sync-primitive      no bare std::mutex/std::lock_guard/std::thread/
-                          pthread_* outside common/sync.h; use the annotated
-                          cpt wrappers (Mutex/MutexLock/ThreadGroup).
+                          pthread_* outside common/sync.h: page tables are
+                          single-writer, and threads go through
+                          cpt::ThreadGroup.
   hot-no-alloc            whole-program: nothing reachable from a CPT_HOT
                           root (common/hotpath.h) may allocate — no new/
                           make_unique, no unreserved push_back/resize, no
                           string formatting or iostream.
   hot-no-throw            whole-program: no throw / throwing std calls
                           (at, value, stoi...) reachable from a hot root.
-  hot-lock-discipline     whole-program: locks on hot paths are cpt::
-                          wrappers with an adjacent '// hot-lock:'
+  hot-lock-discipline     whole-program: locks on hot paths carry an
+                          adjacent '// hot-lock:'
                           justification, budgeted in the debt ledger; bare
                           blocking calls (sleep/join/wait) never pass.
   false-sharing           per-stripe/per-shard array elements must be
-                          CPT_CACHE_ALIGNED, and inside a CPT_SHARED class
-                          no atomic may share a 64-byte host line with a
-                          lock or a differently-guarded field.
+                          CPT_CACHE_ALIGNED.
   layout-ledger           every struct reachable from a CPT_HOT function
                           must match tools/layout_ledger.json {size, align,
                           offsets}; growth fails with a ratchet notice
@@ -990,21 +987,16 @@ class HotAnalysis:
                     "depth": fd.hot_depth,
                 })
 
-    # Lock acquisitions through the cpt:: wrappers; bare blocking calls are
-    # hot-lock-discipline findings, never ledger entries.
+    # Lock acquisitions (scoped wrappers or lock methods); bare blocking
+    # calls are hot-lock-discipline findings, never ledger entries.
     LOCK_WRAPPERS = {"MutexLock", "SharedMutexLock"}
-    LOCK_METHODS = {"Acquire", "lock", "lock_shared", "try_lock", "WaitClockNs"}
-
-    # The wrapper implementation itself (mu_.lock() inside cpt::Mutex) is
-    # sanctioned; the budget tracks wrapper *use sites* in hot code.
-    LOCK_IMPL_FILES = ("src/common/sync.h",)
+    LOCK_METHODS = {"Acquire", "lock", "lock_shared", "try_lock"}
 
     def _collect_locks(self):
-        """Every cpt-wrapper lock site in hot-reachable code (the budget)."""
+        """Every lock site in hot-reachable code (the budget)."""
         self.hot_lock_sites = []
         for fd in sorted((f for f in self.defs if f.hot_depth is not None
-                          and f not in self.cold and not self._boundary(f)
-                          and f.file not in self.LOCK_IMPL_FILES),
+                          and f not in self.cold and not self._boundary(f)),
                          key=lambda f: (f.file, f.line)):
             toks = self._tokens_by_file[fd.file]
             for i in range(fd.start + 1, fd.end):
@@ -1119,8 +1111,7 @@ def check_debt(analysis, path):
 #
 # Three rules ride on the model:
 #   false-sharing      per-stripe/per-shard array elements smaller than a
-#                      destructive-interference line, and atomics sharing a
-#                      host line with a lock inside a CPT_SHARED class.
+#                      destructive-interference line.
 #   layout-ledger      every struct reachable from a CPT_HOT function must
 #                      match the committed tools/layout_ledger.json; growth
 #                      fails with a ratchet notice (--write-layout
@@ -1208,11 +1199,7 @@ LIB_LAYOUTS = {
 
 # Wrapper templates whose payload follows std::atomic packing: (s, s) for
 # power-of-two scalar payloads up to 8 bytes.
-ATOMIC_WRAPPER_BASES = {"atomic", "AtomicCell"}
-# Outermost bases that classify a field for the false-sharing rule.
-ATOMIC_FIELD_BASES = {"atomic", "AtomicCell", "AtomicMappingWord",
-                      "atomic_flag"}
-CAPABILITY_FIELD_BASES = {"Mutex", "SharedMutex"}
+ATOMIC_WRAPPER_BASES = {"atomic"}
 # Tokens stripped before type resolution.
 STRIP_TYPE_TOKENS = {"const", "volatile", "mutable", "typename", "struct",
                      "class", "inline"}
@@ -1226,24 +1213,22 @@ MEMBER_SKIP_SPECIFIERS = {"static", "using", "typedef", "friend", "template",
 
 class RawMember:
     __slots__ = ("name", "type_toks", "extents", "bit_width", "alignas_req",
-                 "no_unique_address", "guard", "line")
+                 "no_unique_address", "line")
 
     def __init__(self, name, type_toks, extents, bit_width, alignas_req,
-                 no_unique_address, guard, line):
+                 no_unique_address, line):
         self.name = name
         self.type_toks = type_toks   # tokens of the declared type
         self.extents = extents       # token lists, one per [N] extent
         self.bit_width = bit_width   # token list of the bit-field width
         self.alignas_req = alignas_req
         self.no_unique_address = no_unique_address
-        self.guard = guard           # CPT_GUARDED_BY argument text, or None
         self.line = line
 
 
 class RawStruct:
     __slots__ = ("qual", "name", "outer", "file", "line", "alignas_req",
-                 "shared", "tparams", "bases", "has_virtual", "is_union",
-                 "members")
+                 "tparams", "bases", "has_virtual", "is_union", "members")
 
     def __init__(self, qual, name, outer, file, line):
         self.qual = qual
@@ -1252,7 +1237,6 @@ class RawStruct:
         self.file = file
         self.line = line
         self.alignas_req = 0     # struct-level alignas / CPT_CACHE_ALIGNED
-        self.shared = False      # carries CPT_SHARED
         self.tparams = None      # template parameter names, or None
         self.bases = []
         self.has_virtual = False
@@ -1261,34 +1245,23 @@ class RawStruct:
 
 
 class FieldLayout:
-    __slots__ = ("name", "offset", "size", "align", "line", "atomic",
-                 "capability", "guard", "bit_width")
+    __slots__ = ("name", "offset", "size", "align", "line", "bit_width")
 
-    def __init__(self, name, offset, size, align, line, atomic, capability,
-                 guard, bit_width):
+    def __init__(self, name, offset, size, align, line, bit_width):
         self.name = name
         self.offset = offset
         self.size = size
         self.align = align
         self.line = line
-        self.atomic = atomic
-        self.capability = capability
-        self.guard = guard
         self.bit_width = bit_width
-
-    def host_lines(self):
-        """Indices of the HOST_LINE_BYTES lines this field touches."""
-        last = self.offset + max(self.size, 1) - 1
-        return range(self.offset // HOST_LINE_BYTES,
-                     last // HOST_LINE_BYTES + 1)
 
 
 class StructLayout:
     __slots__ = ("qual", "name", "file", "line", "size", "align", "fields",
-                 "cache_aligned", "shared", "polymorphic", "empty")
+                 "cache_aligned", "polymorphic", "empty")
 
     def __init__(self, qual, name, file, line, size, align, fields,
-                 cache_aligned, shared, polymorphic):
+                 cache_aligned, polymorphic):
         self.qual = qual
         self.name = name
         self.file = file
@@ -1297,7 +1270,6 @@ class StructLayout:
         self.align = align
         self.fields = fields
         self.cache_aligned = cache_aligned
-        self.shared = shared
         self.polymorphic = polymorphic
         self.empty = (not fields and not polymorphic and size <= 1)
 
@@ -1552,10 +1524,6 @@ class LayoutAnalysis:
                 raw.alignas_req = max(raw.alignas_req, self.cache_line_bytes())
                 j += 1
                 continue
-            if t.text == "CPT_SHARED":
-                raw.shared = True
-                j += 1
-                continue
             if t.text == ":":
                 colon = j
                 break
@@ -1652,7 +1620,6 @@ class LayoutAnalysis:
         texts = [t.text for t in stmt]
         if set(texts) & MEMBER_SKIP_SPECIFIERS or texts[0] == "~":
             return None
-        guard = None
         alignas_req = 0
         nua = False
         clean = []
@@ -1683,8 +1650,6 @@ class LayoutAnalysis:
                     continue
                 if nxt == "(":
                     close = _match_paren(stmt, i + 1, "(", ")")
-                    if t.text in GuardedByCoverage.GUARD_MACROS:
-                        guard = " ".join(x.text for x in stmt[i + 2:close])
                     i = close + 1
                     continue
                 i += 1  # bare annotation macro (CPT_HOT, CPT_COLD, ...)
@@ -1733,7 +1698,7 @@ class LayoutAnalysis:
             return None
         name_tok = clean[-1]
         return RawMember(name_tok.text, clean[:-1], extents, bit_width,
-                         alignas_req, nua, guard, name_tok.line)
+                         alignas_req, nua, name_tok.line)
 
     # ---- constants ---------------------------------------------------------
 
@@ -2059,7 +2024,7 @@ class LayoutAnalysis:
             elif b in LIB_LAYOUTS:
                 s, a = LIB_LAYOUTS[b]
                 base_layouts.append(StructLayout(
-                    b, b, "<lib>", 0, s, a, [], False, False, False))
+                    b, b, "<lib>", 0, s, a, [], False, False))
             else:
                 raise LayoutUnresolved(f"unresolved base class '{b}'")
         if polymorphic and not (base_layouts and base_layouts[0].polymorphic):
@@ -2074,14 +2039,6 @@ class LayoutAnalysis:
         bit_container = None  # (size, start_offset, bits_used)
         for m in raw.members:
             s, a = self.type_layout(m.type_toks, raw.file, classes, stack)
-            atomic = capability = False
-            mbase, _, _ = _split_template(
-                [t for t in m.type_toks
-                 if not (t.kind == "id" and t.text in STRIP_TYPE_TOKENS)
-                 and t.text != "::"])
-            if not any(t.text in ("*", "&") for t in m.type_toks):
-                atomic = mbase in ATOMIC_FIELD_BASES
-                capability = mbase in CAPABILITY_FIELD_BASES
             if m.bit_width is not None:
                 width = self.eval_expr(m.bit_width, raw.file, classes)
                 if width > s * 8:
@@ -2092,13 +2049,12 @@ class LayoutAnalysis:
                     csize, cstart, used = bit_container
                     bit_container = (csize, cstart, used + width)
                     fields.append(FieldLayout(m.name, cstart, s, a, m.line,
-                                              atomic, capability, m.guard,
                                               width))
                     continue
                 start = _align_up(offset, a)
                 bit_container = (s, start, width)
                 fields.append(FieldLayout(m.name, start, s, a, m.line,
-                                          atomic, capability, m.guard, width))
+                                          width))
                 offset = start + s
                 align = max(align, a)
                 continue
@@ -2110,13 +2066,11 @@ class LayoutAnalysis:
             if m.no_unique_address and s <= 1 and not m.extents:
                 # Modeled as the empty-member optimization: zero bytes.
                 fields.append(FieldLayout(m.name, _align_up(offset, a), 0, a,
-                                          m.line, atomic, capability,
-                                          m.guard, None))
+                                          m.line, None))
                 align = max(align, a)
                 continue
             start = _align_up(offset, a)
-            fields.append(FieldLayout(m.name, start, s, a, m.line, atomic,
-                                      capability, m.guard, None))
+            fields.append(FieldLayout(m.name, start, s, a, m.line, None))
             offset = start + s
             align = max(align, a)
         align = max(align, raw.alignas_req)
@@ -2125,8 +2079,7 @@ class LayoutAnalysis:
             size = 1
         return StructLayout(raw.qual, raw.name, raw.file, raw.line, size,
                             align, fields, raw.alignas_req
-                            >= self.cache_line_bytes(), raw.shared,
-                            polymorphic)
+                            >= self.cache_line_bytes(), polymorphic)
 
     # ---- hot-struct reachability -------------------------------------------
 
@@ -2868,99 +2821,6 @@ class RawAddressParam(Rule):
         return toks[k].kind == "id" and toks[k].text == "uint64_t"
 
 
-# ---- guarded-by-coverage ---------------------------------------------------
-
-@register
-class GuardedByCoverage(Rule):
-    name = "guarded-by-coverage"
-    help = ("mutable data members of CPT_SHARED-marked classes must be "
-            "CPT_GUARDED_BY, atomic, or const (DESIGN.md 'Concurrency "
-            "contracts')")
-    include = ("src/*", "tests/lint/fixtures/*")
-
-    # Types that are their own synchronization story.
-    ATOMIC_TYPES = {"atomic", "atomic_flag", "AtomicCell", "AtomicMappingWord"}
-    # The capabilities themselves, and capability containers.
-    CAPABILITY_TYPES = {"Mutex", "SharedMutex", "StripeSet"}
-    GUARD_MACROS = {"CPT_GUARDED_BY", "CPT_PT_GUARDED_BY"}
-    EXEMPT_SPECIFIERS = {"const", "constexpr", "static", "using", "typedef",
-                         "friend", "enum"}
-
-    def check(self, sf, project):
-        findings = []
-        toks = sf.tokens
-        for i, t in enumerate(toks):
-            if t.kind != "id" or t.text != "CPT_SHARED":
-                continue
-            prev = toks[i - 1].text if i > 0 else ""
-            if prev not in ("class", "struct"):
-                continue
-            name = toks[i + 1].text if i + 1 < len(toks) else "?"
-            j = i + 1
-            while j < len(toks) and toks[j].text not in ("{", ";"):
-                j += 1
-            if j >= len(toks) or toks[j].text != "{":
-                continue  # forward declaration
-            close = _match_paren(toks, j, "{", "}")
-            self._check_members(sf, toks, name, j, close, findings)
-        return findings
-
-    def _check_members(self, sf, toks, cls, open_idx, close, findings):
-        stmt = []
-        k = open_idx + 1
-        while k < close:
-            t = toks[k]
-            if t.text in ("(", "["):
-                stmt.append(t)
-                k = _match_paren(toks, k, t.text, ")" if t.text == "(" else "]") + 1
-                continue
-            if t.text == "{":
-                # Method body, nested type body, or brace initializer: the
-                # contents are not this class's direct members.
-                stmt.append(t)
-                k = _match_paren(toks, k, "{", "}") + 1
-                if k < close and toks[k].text != ";":
-                    stmt = []  # brace-terminated definition (method body)
-                continue
-            if t.text == ";":
-                self._check_stmt(sf, cls, stmt, findings)
-                stmt = []
-                k += 1
-                continue
-            stmt.append(t)
-            k += 1
-
-    def _check_stmt(self, sf, cls, stmt, findings):
-        texts = [t.text for t in stmt]
-        if not stmt or set(texts) & self.EXEMPT_SPECIFIERS:
-            return
-        if set(texts) & self.GUARD_MACROS:
-            return
-        name_tok = self._member_name(stmt)
-        if name_tok is None:
-            return
-        type_texts = set(texts[:texts.index(name_tok.text)])
-        if type_texts & (self.ATOMIC_TYPES | self.CAPABILITY_TYPES):
-            return
-        findings.append(Finding(
-            self.name, sf, name_tok.line,
-            f"mutable member '{name_tok.text}' of CPT_SHARED class {cls} is "
-            f"neither CPT_GUARDED_BY, atomic, nor const"))
-
-    @staticmethod
-    def _member_name(stmt):
-        """The data-member name: an id ending in '_' that is the last token
-        or directly precedes its initializer ('=', '{', '[')."""
-        for idx, t in enumerate(stmt):
-            if t.kind != "id" or not t.text.endswith("_"):
-                continue
-            if idx == len(stmt) - 1:
-                return t
-            if stmt[idx + 1].text in ("=", "{", "["):
-                return t
-        return None
-
-
 # ---- atomic-discipline -----------------------------------------------------
 
 @register
@@ -2971,12 +2831,10 @@ class AtomicDiscipline(Rule):
             "be mutated with raw assignment in the same file")
     include = ("src/*", "tests/lint/fixtures/*")
 
-    # std::atomic API plus the cpt wrappers (AtomicCell / AtomicMappingWord).
+    # std::atomic API plus the AtomicMappingWord wrapper (common/pte.h).
     ATOMIC_METHODS = {"load", "store", "exchange", "fetch_add", "fetch_sub",
                       "fetch_or", "fetch_and", "fetch_xor",
                       "compare_exchange_weak", "compare_exchange_strong",
-                      "load_relaxed", "load_acquire", "store_relaxed",
-                      "store_release", "fetch_add_relaxed", "fetch_sub_relaxed",
                       "FetchOrAttr", "CompareExchange"}
     MUTATORS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
                 "<<=", ">>=", "++", "--"}
@@ -3037,19 +2895,18 @@ class AtomicDiscipline(Rule):
 class RawSyncPrimitive(Rule):
     name = "raw-sync-primitive"
     help = ("no bare std::mutex/std::lock_guard/std::thread/pthread_* "
-            "outside common/sync.h; use the annotated cpt::Mutex/MutexLock/"
-            "ThreadGroup wrappers")
+            "outside common/sync.h: page tables are single-writer (DESIGN.md "
+            "'Concurrency contract') and threads go through cpt::ThreadGroup")
     include = ("src/*", "bench/*", "examples/*", "tests/lint/fixtures/*")
-    # The wrappers themselves are built on the std primitives.
+    # ThreadGroup itself is built on std::thread.
     exclude = ("src/common/sync.h",)
 
     BANNED_STD = {"mutex", "shared_mutex", "recursive_mutex", "timed_mutex",
                   "recursive_timed_mutex", "lock_guard", "unique_lock",
                   "scoped_lock", "shared_lock", "condition_variable",
                   "condition_variable_any", "once_flag", "call_once",
-                  # Bare threads bypass the join-on-destruct discipline and
-                  # atomic_flag the AtomicCell telemetry; use cpt::ThreadGroup
-                  # and cpt::AtomicCell (common/sync.h).
+                  # Bare threads bypass ThreadGroup's join-on-destruct
+                  # discipline; atomic_flag is a spin lock by another name.
                   "thread", "jthread", "atomic_flag"}
 
     def check(self, sf, project):
@@ -3061,17 +2918,16 @@ class RawSyncPrimitive(Rule):
             if t.text.startswith("pthread_"):
                 findings.append(Finding(
                     self.name, sf, t.line,
-                    f"raw {t.text}; use the annotated wrappers from "
-                    f"common/sync.h (cpt::Mutex / cpt::MutexLock)"))
+                    f"raw {t.text}; page tables are single-writer and "
+                    f"threads go through cpt::ThreadGroup (common/sync.h)"))
                 continue
             prev = toks[i - 1].text if i > 0 else ""
             prev2 = toks[i - 2].text if i > 1 else ""
             if t.text in self.BANNED_STD and prev == "::" and prev2 == "std":
                 findings.append(Finding(
                     self.name, sf, t.line,
-                    f"bare std::{t.text}; use the annotated wrappers from "
-                    f"common/sync.h (cpt::Mutex / cpt::MutexLock) so Clang "
-                    f"TSA sees the capability"))
+                    f"bare std::{t.text}; page tables are single-writer and "
+                    f"threads go through cpt::ThreadGroup (common/sync.h)"))
         return findings
 
 
@@ -3202,15 +3058,11 @@ class HotNoThrow(HotPathRule):
 @register
 class HotLockDiscipline(HotPathRule):
     name = "hot-lock-discipline"
-    help = ("locks reachable from a CPT_HOT root must be cpt:: wrappers, "
-            "carry an adjacent '// hot-lock:' justification, and live in the "
-            "growth-gated ledger; bare blocking calls never pass")
+    help = ("locks reachable from a CPT_HOT root must carry an adjacent "
+            "'// hot-lock:' justification and live in the growth-gated "
+            "ledger; bare blocking calls never pass")
 
-    # The wrapper layer itself is the sanctioned implementation — the
-    # discipline governs *use sites* of MutexLock and friends, not the
-    # mu_.lock() calls inside the wrappers they delegate to.  Kept in sync
-    # with the ledger via HotAnalysis.LOCK_IMPL_FILES.
-    exclude = HOT_BOUNDARY_GLOBS + HotAnalysis.LOCK_IMPL_FILES
+    exclude = HOT_BOUNDARY_GLOBS
 
     # Never acceptable on a hot path, justified or not.
     BARE_BLOCKING = {"sleep", "usleep", "nanosleep", "sleep_for",
@@ -3276,9 +3128,7 @@ class LayoutRule(Rule):
 class FalseSharing(LayoutRule):
     name = "false-sharing"
     help = ("per-stripe/per-shard array elements must be CPT_CACHE_ALIGNED "
-            "(>= one destructive-interference line), and inside a CPT_SHARED "
-            "class no atomic may share a host cache line with a lock or a "
-            "field guarded by a different capability")
+            "(>= one destructive-interference line)")
 
     def _shard_element(self, la, m, file, classes):
         """The element type tokens of a sharded container member, peeling
@@ -3307,7 +3157,7 @@ class FalseSharing(LayoutRule):
         findings = []
         for qual in la.quals_in(sf.rel):
             raw = la.structs[qual]
-            # (A) sharded containers: elements below a line false-share.
+            # Sharded containers: elements below a line false-share.
             for m in raw.members:
                 elem = self._shard_element(la, m, raw.file,
                                            (raw.name, raw.outer))
@@ -3343,45 +3193,6 @@ class FalseSharing(LayoutRule):
                         f"destructive-interference line; mark the element "
                         f"type CPT_CACHE_ALIGNED (common/hotpath.h) so "
                         f"adjacent shards cannot false-share"))
-            # (B) CPT_SHARED classes: atomics vs locks / foreign guards on
-            # one host line.  Needs a fully resolved layout.
-            if not raw.shared:
-                continue
-            lay = la.layouts.get(qual)
-            if lay is None:
-                continue
-            lines = {}
-            for f in lay.fields:
-                for ln in f.host_lines():
-                    lines.setdefault(ln, []).append(f)
-            reported = set()
-            for ln, fs in sorted(lines.items()):
-                for i, f1 in enumerate(fs):
-                    for f2 in fs[i + 1:]:
-                        pair = (f1.name, f2.name)
-                        if pair in reported:
-                            continue
-                        hit = None
-                        if (f1.atomic and f2.capability) or (
-                                f2.atomic and f1.capability):
-                            hit = "an atomic and a lock"
-                        elif (f1.guard and f2.guard
-                              and f1.guard != f2.guard):
-                            hit = ("fields guarded by different "
-                                   "capabilities")
-                        elif (f1.atomic and f2.atomic
-                              and f1.guard != f2.guard):
-                            hit = "independently-updated atomics"
-                        if hit is None:
-                            continue
-                        reported.add(pair)
-                        findings.append(Finding(
-                            self.name, sf, max(f1.line, f2.line),
-                            f"{hit} share a {HOST_LINE_BYTES}-byte line in "
-                            f"CPT_SHARED {qual}: '{f1.name}' (offset "
-                            f"{f1.offset}) and '{f2.name}' (offset "
-                            f"{f2.offset}); separate them with "
-                            f"CPT_CACHE_ALIGNED or regroup the fields"))
         return findings
 
 

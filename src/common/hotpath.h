@@ -35,21 +35,4 @@
 #define CPT_COLD
 #endif
 
-// Host destructive-interference line, in bytes.  64 on every platform the
-// gates run on (x86-64 and AArch64 server cores); a plain literal rather
-// than std::hardware_destructive_interference_size so the value is visible
-// to cpt_lint.py's layout model and stable across libstdc++ versions
-// (which may report 128 or warn under -Winterference-size).  Distinct from
-// the SIMULATED line size (common/types.h kDefaultCacheLineSize): this one
-// shapes real memory traffic between worker threads, that one shapes the
-// paper's counted metrics.
-#define CPT_CACHE_LINE 64
-
-// Marks a type (or member) whose instances are written by different
-// threads, so adjacent elements land on distinct destructive-interference
-// lines instead of ping-ponging one line between cores.  The false-sharing
-// lint rule demands this on per-thread array element types; the layout
-// ledger records the resulting size so the cost stays visible.
-#define CPT_CACHE_ALIGNED alignas(CPT_CACHE_LINE)
-
 #endif  // CPT_COMMON_HOTPATH_H_

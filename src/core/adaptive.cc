@@ -185,6 +185,7 @@ std::optional<TlbFill> AdaptiveClusteredPageTable::Lookup(VirtAddr va) {
 void AdaptiveClusteredPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
                                              std::vector<TlbFill>& out) {
   CPT_DCHECK(subblock_factor == factor_);
+  out.reserve(subblock_factor);  // No-op on the caller's reused buffer.
   const Vpbn vpbn = VpbnOf(VpnOf(va), factor_);
   const std::uint32_t b = hasher_(vpbn);
   cache_.Touch(BucketAddr(b), 16);

@@ -102,7 +102,7 @@ class AdaptiveClusteredPageTable final : public pt::PageTable {
     PhysAddr addr{};
     std::vector<AtomicMappingWord> words;  // 1 (single/compact) or factor (array).
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // Host layout pin (DESIGN.md "Layout pins").
   static_assert(sizeof(Node) == 48 && alignof(Node) == 8);
 
   std::uint64_t NodeBytes(const Node& n) const {

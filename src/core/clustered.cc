@@ -215,6 +215,7 @@ std::optional<TlbFill> ClusteredPageTable::Lookup(VirtAddr va) {
 void ClusteredPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
                                      std::vector<TlbFill>& out) {
   CPT_DCHECK(subblock_factor == factor_);
+  out.reserve(subblock_factor);  // No-op on the caller's reused buffer.
   const Vpn vpn = VpnOf(va);
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   const std::uint32_t b = hasher_(vpbn);

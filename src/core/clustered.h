@@ -108,7 +108,7 @@ class ClusteredPageTable final : public pt::PageTable {
     PhysAddr addr{};
     std::array<AtomicMappingWord, kMaxSubblockFactor> words{};
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule):
+  // Host layout pin (DESIGN.md "Layout pins"):
   // the paper-model NodeBytes() below charges a *used* prefix of this
   // worst-case host struct, so its real extent must stay visible.
   static_assert(sizeof(Node) == 536 && alignof(Node) == 8);

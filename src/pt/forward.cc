@@ -214,6 +214,7 @@ std::optional<TlbFill> ForwardMappedPageTable::Lookup(VirtAddr va) {
 
 void ForwardMappedPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
                                          std::vector<TlbFill>& out) {
+  out.reserve(subblock_factor);  // No-op on the caller's reused buffer.
   // One tree descent, then the block's PTEs are adjacent in the leaf node.
   const Vpn vpn = VpnOf(va);
   const Vpn first = FirstVpnOfBlock(VpbnOf(vpn, subblock_factor), subblock_factor);

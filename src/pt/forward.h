@@ -85,7 +85,7 @@ class ForwardMappedPageTable final : public PageTable {
     std::array<AtomicMappingWord, kLeafEntries> slots{};
     unsigned live = 0;
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // Host layout pin (DESIGN.md "Layout pins").
   static_assert(sizeof(Leaf) == 2064 && alignof(Leaf) == 8);
 
   struct Inner {

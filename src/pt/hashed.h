@@ -118,7 +118,7 @@ class HashedPageTable final : public PageTable {
     std::int32_t next = kNil;
     PhysAddr addr{};
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule):
+  // Host layout pin (DESIGN.md "Layout pins"):
   // the paper model charges NodeBytes()/TagNextBytes() per chain step, so
   // the host struct backing those constants must stay this shape.
   static_assert(sizeof(Node) == 40 && alignof(Node) == 8);

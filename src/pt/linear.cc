@@ -147,6 +147,7 @@ std::optional<TlbFill> LinearPageTable::Lookup(VirtAddr va) {
 
 void LinearPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
                                   std::vector<TlbFill>& out) {
+  out.reserve(subblock_factor);  // No-op on the caller's reused buffer.
   // Mappings for the whole page block are adjacent PTE slots: one read of
   // subblock_factor*8 bytes.  Page blocks never straddle leaf pages because
   // 512 is a multiple of the subblock factor.

@@ -94,7 +94,7 @@ class LinearPageTable final : public PageTable {
     std::array<AtomicMappingWord, kPtesPerPage> slots{};
     unsigned live = 0;
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // Host layout pin (DESIGN.md "Layout pins").
   static_assert(sizeof(Leaf) == 4112 && alignof(Leaf) == 8);
 
   // Tree indices deliberately erase the domain: the 6-level radix tree keys

@@ -65,7 +65,7 @@ struct TlbFill {
   }
 };
 
-// Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule):
+// Host layout pin (DESIGN.md "Layout pins"):
 // every TLB stores fills, so TlbFill growth multiplies across all of them.
 static_assert(sizeof(TlbFill) == 32 && alignof(TlbFill) == 8);
 

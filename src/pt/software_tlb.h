@@ -86,7 +86,7 @@ class SoftwareTlb final : public PageTable {
     std::uint64_t stamp = 0;         // For way replacement.
     std::vector<TlbFill> fills;      // 1 fill (base) or up to s (clustered).
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule):
+  // Host layout pin (DESIGN.md "Layout pins"):
   // EntryBytes() charges the paper model, this pins the host struct.
   static_assert(sizeof(Entry) == 48 && alignof(Entry) == 8);
 

@@ -53,7 +53,7 @@ class CompleteSubblockTlb final : public Tlb {
     bool valid = false;
     std::uint64_t stamp = 0;
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // Host layout pin (DESIGN.md "Layout pins").
   static_assert(sizeof(Entry) == 552 && alignof(Entry) == 8);
 
   Entry* FindTag(Asid asid, Vpbn vpbn);

@@ -53,7 +53,7 @@ class DualSizeSetAssocTlb final : public Tlb {
     bool valid = false;
     std::uint64_t stamp = 0;
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // Host layout pin (DESIGN.md "Layout pins").
   static_assert(sizeof(Entry) == 40 && alignof(Entry) == 8);
 
   // Set indexing always uses the superpage-index bits, whatever the entry's

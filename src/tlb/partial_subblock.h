@@ -48,8 +48,8 @@ class PartialSubblockTlb final : public Tlb {
     bool valid = false;
     std::uint64_t stamp = 0;
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule):
-  // exactly one destructive-interference line per entry.
+  // Host layout pin (DESIGN.md "Layout pins"):
+  // exactly one 64-byte host cache line per entry.
   static_assert(sizeof(Entry) == 64 && alignof(Entry) == 8);
 
   bool Covers(const Entry& e, Asid asid, Vpn vpn) const;

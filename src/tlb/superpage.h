@@ -42,7 +42,7 @@ class SuperpageTlb final : public Tlb {
     bool valid = false;
     std::uint64_t stamp = 0;
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // Host layout pin (DESIGN.md "Layout pins").
   static_assert(sizeof(Entry) == 40 && alignof(Entry) == 8);
 
   std::vector<Entry> entries_;

@@ -90,6 +90,10 @@ struct Reference {
   VirtAddr va{};
   bool is_write = false;
 };
+// Host layout pin (DESIGN.md "Layout pins"): one Reference is built and
+// consumed per simulated memory reference, so its growth multiplies across
+// every trace.
+static_assert(sizeof(Reference) == 24 && alignof(Reference) == 8);
 
 // Which pages each process has mapped, per segment, in fault order.
 struct Snapshot {

@@ -112,6 +112,15 @@ TEST_F(SwTlbTest, SizeIncludesPreallocatedArray) {
   EXPECT_EQ(t->SizeBytesPaperModel(), 2048u + 24u);
 }
 
+TEST_F(SwTlbTest, ClusteredEntrySizeIsTagPlusBlockOfWords) {
+  auto t = Make(true);
+  // A clustered slot is one 8-byte VPBN tag + 16 mapping words ([Tall95]):
+  // 64 sets * 2 ways * (8 + 16 * 8)B = 17408, plus backing bytes.
+  EXPECT_EQ(t->SizeBytesPaperModel(), 17408u);
+  t->InsertBase(Vpn{1}, Ppn{1}, Attr::ReadWrite());
+  EXPECT_EQ(t->SizeBytesPaperModel(), 17408u + 24u);
+}
+
 TEST_F(SwTlbTest, SuperpageInvalidationCoversWholeRange) {
   auto backing = std::make_unique<pt::HashedPageTable>(cache_, pt::HashedPageTable::Options{});
   // Note: a plain hashed backing cannot store superpages, so use base pages

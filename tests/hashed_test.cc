@@ -88,6 +88,29 @@ TEST_F(HashedTest, PackedVariantShrinksSizeOnly) {
   }
 }
 
+// With 16-byte simulated lines the per-step byte spans become visible: the
+// miss handler reads a 16-byte tag+next pair (8 bytes packed, Section 7)
+// from a line-aligned bucket head, so an empty-bucket probe stays on one
+// line, and a head hit reads the mapping word from the next line unless
+// the entry is packed.
+TEST(HashedLineAccountingTest, TagNextSpanFitsOneSixteenByteLine) {
+  for (const bool packed : {false, true}) {
+    mem::CacheTouchModel cache(16);
+    HashedPageTable t(cache, {.packed_pte = packed});
+    const auto lines_for = [&](Vpn vpn) {
+      cache.Reset();
+      {
+        mem::WalkScope scope(cache);
+        static_cast<void>(t.Lookup(VaOf(vpn)));
+      }
+      return cache.total_lines();
+    };
+    EXPECT_EQ(lines_for(Vpn{0xABCDE}), 1u) << "empty bucket, packed=" << packed;
+    t.InsertBase(Vpn{0x100}, Ppn{1}, Attr::ReadWrite());
+    EXPECT_EQ(lines_for(Vpn{0x100}), packed ? 1u : 2u) << "head hit, packed=" << packed;
+  }
+}
+
 TEST_F(HashedTest, BlockKeyedTableStoresSuperpageAndPsb) {
   mem::CacheTouchModel cache(256);
   HashedPageTable block(cache, {.tag_shift = 4});

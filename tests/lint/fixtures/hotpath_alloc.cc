@@ -2,8 +2,9 @@
 //
 // FxRootAlloc is a CPT_HOT root: everything it reaches transitively is held
 // to the no-allocation rule.  FxColdRepair is CPT_COLD, so the traversal
-// prunes there and its resize is fine; spare_ is sanctioned by the reserve
-// in FxWarm.
+// prunes there and its resize is fine; Table::spare_ is sanctioned by the
+// reserve in Table::FxWarm, but that reserve reaches no other class's
+// spare_ and a local's reserve reaches no other function.
 #include <vector>
 
 namespace fxhot {
@@ -21,7 +22,7 @@ struct Table {
     slots_.push_back(v);
   }
 
-  // GOOD: the reserve here sanctions spare_ everywhere.
+  // GOOD: the reserve here sanctions spare_ in every Table method.
   void FxWarm() {
     spare_.reserve(64);
   }
@@ -31,6 +32,27 @@ struct Table {
     spare_.push_back(f);
   }
 };
+
+// BAD: a same-named member of another class; Table's reserve is no excuse.
+struct Other {
+  std::vector<int> spare_;
+  void Grow(int v) { spare_.push_back(v); }
+};
+
+// GOOD: a local reserved and grown in the same function.
+int FxLocalOk() {
+  std::vector<int> buf;
+  buf.reserve(4);
+  buf.push_back(1);
+  return buf.back();
+}
+
+// BAD: the same local name, but the reserve above is in another function.
+int FxLocalBad() {
+  std::vector<int> buf;
+  buf.push_back(2);
+  return buf.back();
+}
 
 // BAD: operator new behind one call level.
 int* FxDeepAlloc() {
@@ -49,9 +71,10 @@ CPT_COLD void FxColdRepair(Table& t) {
 }
 
 // The hot root.  Calling the cold function is fine; its body is exempt.
-CPT_HOT int FxRootAlloc(Table& t) {
+CPT_HOT int FxRootAlloc(Table& t, Other& o) {
   FxColdRepair(t);
-  return FxMiddle(t);
+  o.Grow(3);
+  return FxMiddle(t) + FxLocalOk() + FxLocalBad();
 }
 
 }  // namespace fxhot

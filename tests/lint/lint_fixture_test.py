@@ -200,74 +200,11 @@ def timing_keys_test():
                     str(FIXTURES / "hotpath_alloc.cc"))
     data = json.loads(proc.stdout)
     timing = data.get("rule_timing_ms", {})
-    missing = {"file-parse", "hot-call-graph", "layout-model"} - set(timing)
+    missing = {"file-parse", "hot-call-graph"} - set(timing)
     if missing:
         return fail(name, f"missing rule_timing_ms keys: {sorted(missing)}")
     if timing["file-parse"] <= 0:
         return fail(name, f"file-parse not accounted: {timing}")
-    print(f"ok   {name}")
-
-
-def layout_ledger_tamper_test():
-    """A tampered ledger turns layout-ledger red; the committed one is green."""
-    name = "layout/ledger-tamper"
-    ledger_path = REPO_ROOT / "tools" / "layout_ledger.json"
-    victim = "src/pt/hashed.h"
-    with tempfile.TemporaryDirectory() as tmp:
-        tampered = Path(tmp) / "layout_ledger.json"
-        bad = json.loads(ledger_path.read_text())
-        bad["structs"]["HashedPageTable::Node"]["size"] -= 8
-        tampered.write_text(json.dumps(bad))
-        proc = run_lint("--no-baseline", "--layout-ledger", str(tampered), victim)
-        if proc.returncode != 1 or "layout-ledger" not in proc.stdout:
-            return fail(name, f"shrunken ledger entry not flagged "
-                              f"(exit {proc.returncode}):\n{proc.stdout}")
-        if "grew from" not in proc.stdout:
-            return fail(name, f"missing ratchet notice:\n{proc.stdout}")
-    proc = run_lint("--no-baseline", victim)
-    if proc.returncode != 0:
-        return fail(name, f"committed ledger not clean:\n{proc.stdout}")
-    print(f"ok   {name}")
-
-
-def model_truth_tamper_test():
-    """Drifted model-truth accounting turns model-truth-sync red."""
-    name = "layout/model-truth-tamper"
-    ledger_path = REPO_ROOT / "tools" / "layout_ledger.json"
-    victim = "src/common/types.h"
-    with tempfile.TemporaryDirectory() as tmp:
-        tampered = Path(tmp) / "layout_ledger.json"
-        bad = json.loads(ledger_path.read_text())
-        bad["model_truth"]["hashed-node"]["accounting_bytes"] = [512]
-        tampered.write_text(json.dumps(bad))
-        proc = run_lint("--no-baseline", "--layout-ledger", str(tampered), victim)
-        if proc.returncode != 1 or "model-truth drift" not in proc.stdout:
-            return fail(name, f"model-truth drift not flagged "
-                              f"(exit {proc.returncode}):\n{proc.stdout}")
-    proc = run_lint("--no-baseline", victim)
-    if proc.returncode != 0:
-        return fail(name, f"committed ledger not clean:\n{proc.stdout}")
-    print(f"ok   {name}")
-
-
-def write_layout_roundtrip_test():
-    """--write-layout is deterministic and reproduces the committed ledger."""
-    name = "layout/write-roundtrip"
-    committed = (REPO_ROOT / "tools" / "layout_ledger.json").read_text()
-    with tempfile.TemporaryDirectory() as tmp:
-        fresh = Path(tmp) / "layout_ledger.json"
-        proc = run_lint("--write-layout", "--layout-ledger", str(fresh))
-        if proc.returncode != 0:
-            return fail(name, f"--write-layout failed:\n{proc.stdout}{proc.stderr}")
-        if json.loads(fresh.read_text()) != json.loads(committed):
-            return fail(name, "regenerated ledger differs from the committed "
-                              "tools/layout_ledger.json; it is stale — re-run "
-                              "--write-layout and commit")
-        # A fresh regeneration must also lint clean.
-        proc = run_lint("--no-baseline", "--layout-ledger", str(fresh),
-                        "src/pt/hashed.h")
-        if proc.returncode != 0:
-            return fail(name, f"fresh ledger not clean:\n{proc.stdout}")
     print(f"ok   {name}")
 
 
@@ -305,9 +242,6 @@ def main():
     fix_idempotency_test()
     exit_code_test()
     timing_keys_test()
-    layout_ledger_tamper_test()
-    model_truth_tamper_test()
-    write_layout_roundtrip_test()
     sarif_output_test()
     if FAILURES:
         print(f"\n{len(FAILURES)} lint fixture test(s) failed")

@@ -54,40 +54,30 @@ Rules (see DESIGN.md "Static analysis" for the catalog and policy):
                           cpt::ThreadGroup.
   hot-no-alloc            whole-program: nothing reachable from a CPT_HOT
                           root (common/hotpath.h) may allocate — no new/
-                          make_unique, no unreserved push_back/resize, no
-                          string formatting or iostream.
+                          make_unique, no push_back/resize without a
+                          reserve() in the same class (members) or
+                          function (locals), no string formatting or
+                          iostream.
   hot-no-throw            whole-program: no throw / throwing std calls
                           (at, value, stoi...) reachable from a hot root.
   hot-lock-discipline     whole-program: locks on hot paths carry an
                           adjacent '// hot-lock:'
                           justification, budgeted in the debt ledger; bare
                           blocking calls (sleep/join/wait) never pass.
-  false-sharing           per-stripe/per-shard array elements must be
-                          CPT_CACHE_ALIGNED.
-  layout-ledger           every struct reachable from a CPT_HOT function
-                          must match tools/layout_ledger.json {size, align,
-                          offsets}; growth fails with a ratchet notice
-                          (--write-layout regenerates), and literal
-                          sizeof/alignof static_asserts are cross-checked.
-  model-truth-sync        the byte spans CacheTouchModel charges per walk
-                          step must equal the ledger-derived lines-per-node
-                          of each PT organization's node struct.
 
 The hot rules ride on a heuristic call graph over src/ (see HotAnalysis);
 the same analysis emits the devirtualization-debt ledger
 (tools/hotpath_debt.json, --write-hot-debt / --check-hot-debt), which
 growth-gates every virtual call site reachable from the hot roots.
 
-The layout rules ride on a struct-layout model over the same token streams
-(see LayoutAnalysis): builtin + libstdc++ ABI tables, recursively resolved
-project types, Itanium-style padding (alignas / bit-fields /
-[[no_unique_address]] / EBO / vptr aware).  Anything it cannot prove is
-skipped with a notice (--layout-report), and the whole model is pinned to
-the compiled ABI by tools/dump_layout.cc + tests/lint/layout_sync_check.py,
-the same way dump_enums pins the enum tables.
+Struct layout is deliberately NOT modeled here: the compiler owns it.  The
+byte counts the simulator charges come from paper-model constants
+(NodeBytes/TagNextBytes/EntryBytes) at simulated addresses, and each node,
+entry and fill struct pins its host size with a static_assert next to its
+definition (DESIGN.md "Layout pins").
 
 Exit codes: 0 clean, 1 findings or debt growth, 2 internal error (an
-unreadable input or malformed baseline/ledger — not a lint verdict).
+unreadable input or malformed baseline/debt ledger — not a lint verdict).
 
 Suppressions:
   // cpt-lint: allow(rule[, rule])   suppress on this line (trailing) or,
@@ -108,8 +98,6 @@ Usage:
   tools/cpt_lint.py --all --fix        apply fixes for mechanical rules
   tools/cpt_lint.py --export-enums     JSON dump of enums + name tables
                                        (consumed by check_bench_json.py)
-  tools/cpt_lint.py --write-layout     regenerate tools/layout_ledger.json
-  tools/cpt_lint.py --layout-report    layout model + skip notices as JSON
   tools/cpt_lint.py --all --sarif=f    also write findings as SARIF 2.1.0
 """
 
@@ -544,10 +532,6 @@ class Project:
         self.name_tables = []   # [NameTable]
         self._hot = None        # lazy HotAnalysis (see ensure_hot_analysis)
         self.hot_prepare_seconds = 0.0
-        self._layout = None     # lazy LayoutAnalysis (ensure_layout_analysis)
-        self.layout_prepare_seconds = 0.0
-        self.layout_ledger_path = None  # set by the driver; None = default
-        self._layout_ledger = False     # False = not loaded yet
         for sf in files:
             for e in parse_enums(sf):
                 self.enums.setdefault(e.name, []).append(e)
@@ -566,33 +550,6 @@ class Project:
             self._hot = HotAnalysis(self.files)
             self.hot_prepare_seconds = time.perf_counter() - t0
         return self._hot
-
-    def ensure_layout_analysis(self):
-        """Builds (once) the struct-layout model over the layout scope.
-
-        Like ensure_hot_analysis(), run_rules() triggers this eagerly before
-        forking so --jobs workers inherit the resolved layouts.
-        """
-        if self._layout is None:
-            t0 = time.perf_counter()
-            self._layout = LayoutAnalysis(self.files)
-            self.layout_prepare_seconds = time.perf_counter() - t0
-        return self._layout
-
-    def load_layout_ledger(self):
-        """The committed layout ledger, or None when the file is absent.
-
-        A malformed ledger raises json.JSONDecodeError, which main() maps
-        to exit code 2 (internal error) like every other corrupt input.
-        """
-        if self._layout_ledger is False:
-            path = self.layout_ledger_path or DEFAULT_LAYOUT_LEDGER
-            path = Path(path)
-            if path.exists():
-                self._layout_ledger = json.loads(path.read_text())
-            else:
-                self._layout_ledger = None
-        return self._layout_ledger
 
     def enum_for_switch(self, name, seen_enumerators, rel=None):
         """The unique EnumDef consistent with the observed case labels.
@@ -909,22 +866,43 @@ class HotAnalysis:
             hot_marks.extend(_annotated_names(sf, "CPT_HOT"))
             cold_marks.extend(_annotated_names(sf, "CPT_COLD"))
         self._tokens_by_file = {sf.rel: sf.tokens for sf in graph_files}
-        # Receivers something reserves: `x.reserve(n)` / `x.Reserve(n)`
-        # anywhere in the graph sanctions push_back/resize growth on x in
-        # hot code (capacity was provisioned; steady state cannot allocate).
-        self.reserved_receivers = set()
-        for sf in graph_files:
-            toks = sf.tokens
-            for i, t in enumerate(toks):
-                if (t.kind == "id" and t.text in ("reserve", "Reserve")
-                        and i > 1 and toks[i - 1].text in (".", "->")
-                        and i + 1 < len(toks) and toks[i + 1].text == "("
-                        and toks[i - 2].kind == "id"):
-                    self.reserved_receivers.add(toks[i - 2].text)
+        self._collect_reserves()
         self.cold = {fd for fd in self.defs if _matches_mark(fd, cold_marks)}
         self._traverse(hot_marks)
         self._collect_debt()
         self._collect_locks()
+
+    def _collect_reserves(self):
+        """Receivers a `x.reserve(n)` / `x.Reserve(n)` call provisions.
+
+        A reserve sanctions push_back/resize growth on the same receiver in
+        hot code (capacity was provisioned; steady state cannot allocate),
+        but only within its scope: a data member (trailing-underscore name,
+        the project's member convention) is sanctioned in every method of
+        the reserving class, anything else only in the reserving function.
+        A bare-name match across the tree would let one class's reserve
+        excuse an unrelated class's growth of a same-named member.
+        """
+        self.reserved_members = set()  # (class, receiver)
+        self.reserved_locals = set()   # (file, body start, receiver)
+        for fd in self.defs:
+            toks = self._tokens_by_file[fd.file]
+            for i in range(fd.start + 1, fd.end):
+                t = toks[i]
+                if (t.kind == "id" and t.text in ("reserve", "Reserve")
+                        and toks[i - 1].text in (".", "->")
+                        and toks[i + 1].text == "("
+                        and toks[i - 2].kind == "id"):
+                    recv = toks[i - 2].text
+                    self.reserved_locals.add((fd.file, fd.start, recv))
+                    if fd.cls is not None and recv.endswith("_"):
+                        self.reserved_members.add((fd.cls, recv))
+
+    def is_reserved(self, fd, recv):
+        """Whether a reserve() in scope provisions `recv` for `fd`."""
+        return ((fd.file, fd.start, recv) in self.reserved_locals
+                or (fd.cls is not None and recv.endswith("_")
+                    and (fd.cls, recv) in self.reserved_members))
 
     def _boundary(self, fd):
         return any(fnmatch.fnmatch(fd.file, g) for g in HOT_BOUNDARY_GLOBS)
@@ -1086,1151 +1064,6 @@ def check_debt(analysis, path):
         print(f"hot-debt ledger holds: {total} virtual call sites, "
               f"{sum(analysis.lock_fingerprints().values())} lock sites")
     return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
-# Struct/class layout model (heuristic Itanium rules, compiled-truth checked)
-# ---------------------------------------------------------------------------
-#
-# The paper's headline metric is cache lines touched per TLB miss, so the
-# byte-level layout of PTE nodes, chain nodes, and TLB entries IS the
-# experiment.  The model below recovers {size, align, field offsets} for
-# project structs from the same token streams the other rules use: a
-# builtin table pins the fundamental and libstdc++ ABI sizes (LP64 x86-64,
-# the platform every gate runs on), project types resolve recursively, and
-# Itanium-style padding rules place the fields (alignas / bit-fields /
-# [[no_unique_address]] aware; empty-base optimization; one vptr word for
-# polymorphic classes).
-#
-# Heuristic honesty: anything the model cannot prove — dependent templates,
-# unions, unresolvable constants or types — is skipped WITH A NOTICE
-# (--layout-report), never silently guessed.  The whole model is pinned to
-# the compiled ABI by tools/dump_layout.cc + tests/lint/layout_sync_check.py,
-# mirroring the dump_enums/enum_sync_check.py pattern, so the analyzer can
-# never drift from what the compiler actually lays out.
-#
-# Three rules ride on the model:
-#   false-sharing      per-stripe/per-shard array elements smaller than a
-#                      destructive-interference line.
-#   layout-ledger      every struct reachable from a CPT_HOT function must
-#                      match the committed tools/layout_ledger.json; growth
-#                      fails with a ratchet notice (--write-layout
-#                      regenerates), and literal sizeof/alignof
-#                      static_asserts are cross-checked against the model.
-#   model-truth-sync   the line-size and node-span constants CacheTouchModel
-#                      charges per walk step must equal the ledger-derived
-#                      values for each PT organization's node struct.
-
-# Host destructive-interference granule (std::hardware_destructive_
-# interference_size on every gate platform).  Distinct from the SIMULATED
-# line size kDefaultCacheLineSize (common/types.h) — never conflate them.
-HOST_LINE_BYTES = 64
-DEFAULT_LAYOUT_LEDGER = Path(__file__).resolve().parent / "layout_ledger.json"
-# Files whose structs participate in the layout rules.  layout_* fixtures
-# opt in so the goldens exercise the rules; every other fixture stays out
-# so the historical goldens are unaffected.
-LAYOUT_SCOPE_GLOBS = ("src/*",)
-LAYOUT_FIXTURE_PREFIX = "tests/lint/fixtures/layout_"
-# Where the simulated line-size constant and the model-truth rule anchor.
-SIM_LINE_CONST = "kDefaultCacheLineSize"
-MODEL_TRUTH_ANCHOR_FILE = "src/common/types.h"
-# (key, file, accounting function, node struct) — the byte-span constants
-# each PT organization charges per walk step, tied to its node struct.
-MODEL_TRUTH_ANCHORS = (
-    ("hashed-node", "src/pt/hashed.h", "NodeBytes",
-     "HashedPageTable::Node"),
-    ("hashed-tagnext", "src/pt/hashed.h", "TagNextBytes",
-     "HashedPageTable::Node"),
-    ("clustered-node", "src/core/clustered.h", "NodeBytes",
-     "ClusteredPageTable::Node"),
-    ("adaptive-node", "src/core/adaptive.h", "NodeBytes",
-     "AdaptiveClusteredPageTable::Node"),
-    ("software-tlb-entry", "src/pt/software_tlb.h", "EntryBytes",
-     "SoftwareTlb::Entry"),
-)
-
-
-def _layout_scope(rel):
-    return (any(fnmatch.fnmatch(rel, g) for g in LAYOUT_SCOPE_GLOBS)
-            or rel.startswith(LAYOUT_FIXTURE_PREFIX))
-
-
-def _boundary_rel(rel):
-    return any(fnmatch.fnmatch(rel, g) for g in HOT_BOUNDARY_GLOBS)
-
-
-def _align_up(n, a):
-    return (n + a - 1) // a * a
-
-
-class LayoutUnresolved(Exception):
-    """Why one struct's layout cannot be proven (a skip-with-notice)."""
-
-
-# LP64 x86-64 fundamental types (size, align).
-FUNDAMENTAL_LAYOUTS = {
-    "bool": (1, 1), "char": (1, 1), "signed char": (1, 1),
-    "unsigned char": (1, 1), "char8_t": (1, 1), "char16_t": (2, 2),
-    "char32_t": (4, 4), "wchar_t": (4, 4), "short": (2, 2),
-    "unsigned short": (2, 2), "short int": (2, 2), "int": (4, 4),
-    "unsigned": (4, 4), "unsigned int": (4, 4), "long": (8, 8),
-    "unsigned long": (8, 8), "long int": (8, 8), "long long": (8, 8),
-    "unsigned long long": (8, 8), "long long int": (8, 8),
-    "float": (4, 4), "double": (8, 8), "long double": (16, 16),
-    "int8_t": (1, 1), "uint8_t": (1, 1), "int16_t": (2, 2),
-    "uint16_t": (2, 2), "int32_t": (4, 4), "uint32_t": (4, 4),
-    "int64_t": (8, 8), "uint64_t": (8, 8), "size_t": (8, 8),
-    "ptrdiff_t": (8, 8), "intptr_t": (8, 8), "uintptr_t": (8, 8),
-    "byte": (1, 1),
-}
-
-# libstdc++ x86-64 container/handle layouts, probed on the gate platform
-# and pinned by tools/dump_layout.cc.  Template arguments do not change
-# these (node-based or pointer-triple representations).
-LIB_LAYOUTS = {
-    "string": (32, 8), "string_view": (16, 8), "vector": (24, 8),
-    "deque": (80, 8), "list": (24, 8), "map": (48, 8), "set": (48, 8),
-    "multimap": (48, 8), "multiset": (48, 8), "unordered_map": (56, 8),
-    "unordered_set": (56, 8), "unique_ptr": (8, 8), "shared_ptr": (16, 8),
-    "weak_ptr": (16, 8), "function": (32, 8), "mutex": (40, 8),
-    "shared_mutex": (56, 8), "condition_variable": (48, 8),
-    "thread": (8, 8), "span": (16, 8), "atomic_flag": (1, 1),
-}
-
-# Wrapper templates whose payload follows std::atomic packing: (s, s) for
-# power-of-two scalar payloads up to 8 bytes.
-ATOMIC_WRAPPER_BASES = {"atomic"}
-# Tokens stripped before type resolution.
-STRIP_TYPE_TOKENS = {"const", "volatile", "mutable", "typename", "struct",
-                     "class", "inline"}
-# A statement containing any of these is not a data member.
-MEMBER_SKIP_SPECIFIERS = {"static", "using", "typedef", "friend", "template",
-                          "operator", "constexpr", "consteval", "explicit",
-                          "virtual", "struct", "class", "enum", "union",
-                          "static_assert", "requires", "public", "private",
-                          "protected", "default", "delete", "return"}
-
-
-class RawMember:
-    __slots__ = ("name", "type_toks", "extents", "bit_width", "alignas_req",
-                 "no_unique_address", "line")
-
-    def __init__(self, name, type_toks, extents, bit_width, alignas_req,
-                 no_unique_address, line):
-        self.name = name
-        self.type_toks = type_toks   # tokens of the declared type
-        self.extents = extents       # token lists, one per [N] extent
-        self.bit_width = bit_width   # token list of the bit-field width
-        self.alignas_req = alignas_req
-        self.no_unique_address = no_unique_address
-        self.line = line
-
-
-class RawStruct:
-    __slots__ = ("qual", "name", "outer", "file", "line", "alignas_req",
-                 "tparams", "bases", "has_virtual", "is_union", "members")
-
-    def __init__(self, qual, name, outer, file, line):
-        self.qual = qual
-        self.name = name
-        self.outer = outer       # enclosing class name, or None
-        self.file = file
-        self.line = line
-        self.alignas_req = 0     # struct-level alignas / CPT_CACHE_ALIGNED
-        self.tparams = None      # template parameter names, or None
-        self.bases = []
-        self.has_virtual = False
-        self.is_union = False
-        self.members = []
-
-
-class FieldLayout:
-    __slots__ = ("name", "offset", "size", "align", "line", "bit_width")
-
-    def __init__(self, name, offset, size, align, line, bit_width):
-        self.name = name
-        self.offset = offset
-        self.size = size
-        self.align = align
-        self.line = line
-        self.bit_width = bit_width
-
-
-class StructLayout:
-    __slots__ = ("qual", "name", "file", "line", "size", "align", "fields",
-                 "cache_aligned", "polymorphic", "empty")
-
-    def __init__(self, qual, name, file, line, size, align, fields,
-                 cache_aligned, polymorphic):
-        self.qual = qual
-        self.name = name
-        self.file = file
-        self.line = line
-        self.size = size
-        self.align = align
-        self.fields = fields
-        self.cache_aligned = cache_aligned
-        self.polymorphic = polymorphic
-        self.empty = (not fields and not polymorphic and size <= 1)
-
-
-def _struct_decl_spans(toks):
-    """(kw_index, name, open_index, close_index) for every class/struct/
-    union definition body (class_spans plus the keyword index, so header
-    annotations between the keyword and the brace can be recovered)."""
-    spans = []
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if t.kind != "id" or t.text not in ("class", "struct", "union"):
-            i += 1
-            continue
-        prev = toks[i - 1].text if i > 0 else ""
-        if prev in ("enum", "<", ","):  # enum class / template parameter
-            i += 1
-            continue
-        name = None
-        j = i + 1
-        while j < len(toks) and toks[j].text not in ("{", ";", ":", "<"):
-            tj = toks[j]
-            if tj.kind == "id" and tj.text != "final" and not _macro_like(tj.text):
-                name = tj.text
-            j += 1
-        while j < len(toks) and toks[j].text not in ("{", ";"):
-            j += 1  # base clause
-        if j < len(toks) and toks[j].text == "{" and name is not None:
-            spans.append((i, name, j, _match_paren(toks, j, "{", "}")))
-        i = j + 1 if j > i else i + 1
-    return spans
-
-
-def _template_params(toks, kw_idx):
-    """Parameter names of a template header ending just before kw_idx,
-    or None when the declaration is not a template."""
-    if kw_idx == 0 or toks[kw_idx - 1].text != ">":
-        return None
-    open_i = _match_paren_back(toks, kw_idx - 1, "<", ">")
-    if open_i <= 0 or toks[open_i - 1].text != "template":
-        return None
-    names, last_id = [], None
-    for k in range(open_i + 1, kw_idx - 1):
-        t = toks[k]
-        if t.text == ",":
-            if last_id:
-                names.append(last_id)
-            last_id = None
-        elif t.kind == "id" and t.text not in ("class", "typename"):
-            last_id = t.text
-    if last_id:
-        names.append(last_id)
-    return names
-
-
-def _split_template(toks):
-    """(base, hint, args) for a type token list: the last identifier of the
-    qualifier chain before '<', the one before it (nested-type hint), and
-    the template argument token lists (None when not a template use)."""
-    chain = []
-    i, n = 0, len(toks)
-    while i < n and toks[i].text != "<":
-        if toks[i].kind == "id" and toks[i].text not in STRIP_TYPE_TOKENS:
-            chain.append(toks[i].text)
-        i += 1
-    base = chain[-1] if chain else None
-    hint = chain[-2] if len(chain) > 1 else None
-    if i >= n or toks[i].text != "<":
-        return base, hint, None
-    args, cur, depth = [], [], 1
-    i += 1
-    while i < n and depth > 0:
-        t = toks[i].text
-        if t == "<":
-            depth += 1
-        elif t == ">":
-            depth -= 1
-        elif t == ">>":
-            depth -= 2
-        if depth <= 0:
-            break
-        if t == "," and depth == 1:
-            args.append(cur)
-            cur = []
-        else:
-            cur.append(toks[i])
-        i += 1
-    if cur:
-        args.append(cur)
-    return base, hint, args
-
-
-def _int_literal(text):
-    """Value of a C++ integer literal token, or None for floats."""
-    t = text.replace("'", "")
-    while t and t[-1] in "uUlLzZ":
-        t = t[:-1]
-    try:
-        return int(t, 0)
-    except ValueError:
-        return None
-
-
-CONST_NAME_RE = re.compile(r"^k[A-Z]\w*$")
-
-
-class LayoutAnalysis:
-    """Struct layouts, constants, aliases and enums over the layout scope."""
-
-    def __init__(self, files):
-        self.structs = {}       # qual -> RawStruct (first definition wins)
-        self.by_name = {}       # bare name -> [qual]
-        self.aliases = {}       # name -> [(file, token list)]
-        self.enum_layouts = {}  # name -> [(file, (size, align), line)]
-        self.defines = {}       # object-like macro -> int
-        self._const_defs = {}   # name -> [dict(file, cls, toks, value, state)]
-        self._files = {}        # rel -> SourceFile (layout scope only)
-        self._file_quals = {}   # rel -> [qual]
-        self._sim_line = None   # cached (value, line) or an error string
-        self._hot_quals = None
-        for sf in files:
-            if _layout_scope(sf.rel):
-                self._files[sf.rel] = sf
-                self._scan_file(sf)
-        self.layouts = {}       # qual -> StructLayout
-        self.skipped = {}       # qual -> reason (the skip-with-notice set)
-        for qual in sorted(self.structs):
-            try:
-                self._layout_of(qual)
-            except LayoutUnresolved:
-                pass
-
-    # ---- scanning ----------------------------------------------------------
-
-    DEFINE_INT_RE = re.compile(r"#\s*define\s+(\w+)\s+(\d+)\s*$")
-
-    def _scan_file(self, sf):
-        toks = sf.tokens
-        for d in sf.directives:
-            m = self.DEFINE_INT_RE.match(d.text)
-            if m:
-                self.defines.setdefault(m.group(1), int(m.group(2)))
-        cls_spans = class_spans(toks)
-        self._scan_enums(sf, toks)
-        self._scan_aliases(sf, toks)
-        self._scan_consts(sf, toks, cls_spans)
-        decls = _struct_decl_spans(toks)
-        nested_starts = {kw: close for (kw, _, _, close) in decls}
-        for kw, name, open_i, close_i in decls:
-            outer = _innermost_class(cls_spans, kw)
-            qual = f"{outer}::{name}" if outer else name
-            if qual in self.structs:
-                continue  # first definition wins (deterministic file order)
-            raw = RawStruct(qual, name, outer, sf.rel, toks[kw].line)
-            raw.is_union = toks[kw].text == "union"
-            raw.tparams = _template_params(toks, kw)
-            self._parse_header(toks, kw, open_i, raw, sf)
-            raw.has_virtual = self._scan_virtual(toks, open_i, close_i, decls)
-            raw.members = self._parse_members(
-                toks, open_i, close_i, nested_starts, raw, sf)
-            self.structs[qual] = raw
-            self.by_name.setdefault(name, []).append(qual)
-            self._file_quals.setdefault(sf.rel, []).append(qual)
-
-    def _scan_enums(self, sf, toks):
-        i = 0
-        while i < len(toks):
-            if toks[i].kind != "id" or toks[i].text != "enum":
-                i += 1
-                continue
-            j = i + 1
-            if j < len(toks) and toks[j].text in ("class", "struct"):
-                j += 1
-            if j >= len(toks) or toks[j].kind != "id":
-                i = j
-                continue
-            name_tok = toks[j]
-            j += 1
-            under = []
-            if j < len(toks) and toks[j].text == ":":
-                j += 1
-                while j < len(toks) and toks[j].text not in ("{", ";"):
-                    under.append(toks[j])
-                    j += 1
-            layout = (4, 4)  # default underlying type is int
-            if under:
-                texts = " ".join(t.text for t in under
-                                 if t.kind == "id" and t.text != "std")
-                layout = FUNDAMENTAL_LAYOUTS.get(texts, (4, 4))
-            self.enum_layouts.setdefault(name_tok.text, []).append(
-                (sf.rel, layout, name_tok.line))
-            i = j + 1
-
-    def _scan_aliases(self, sf, toks):
-        for i, t in enumerate(toks):
-            if (t.kind == "id" and t.text == "using" and i + 2 < len(toks)
-                    and toks[i + 1].kind == "id" and toks[i + 2].text == "="):
-                j = i + 3
-                body = []
-                while j < len(toks) and toks[j].text != ";":
-                    body.append(toks[j])
-                    j += 1
-                if body:
-                    self.aliases.setdefault(toks[i + 1].text, []).append(
-                        (sf.rel, body))
-
-    def _scan_consts(self, sf, toks, cls_spans):
-        for i, t in enumerate(toks):
-            if (t.kind != "id" or not CONST_NAME_RE.match(t.text)
-                    or i + 1 >= len(toks) or toks[i + 1].text != "="):
-                continue
-            prev = toks[i - 1].text if i > 0 else ""
-            if prev in (".", "->", "::"):
-                continue  # a use, not a declaration
-            j = i + 2
-            depth = 0
-            expr = []
-            while j < len(toks):
-                tj = toks[j]
-                if tj.text in ("(", "[", "{"):
-                    depth += 1
-                elif tj.text in (")", "]", "}"):
-                    if depth == 0:
-                        break
-                    depth -= 1
-                elif depth == 0 and tj.text in (";", ","):
-                    break
-                expr.append(tj)
-                j += 1
-            if expr:
-                cls = _innermost_class(cls_spans, i)
-                self._const_defs.setdefault(t.text, []).append(
-                    {"file": sf.rel, "cls": cls, "toks": expr,
-                     "value": None, "state": 0})
-
-    def _parse_header(self, toks, kw, open_i, raw, sf):
-        j = kw + 1
-        colon = None
-        while j < open_i:
-            t = toks[j]
-            if t.text == "alignas" and j + 1 < open_i and toks[j + 1].text == "(":
-                close = _match_paren(toks, j + 1, "(", ")")
-                try:
-                    raw.alignas_req = max(raw.alignas_req, self.eval_expr(
-                        toks[j + 2:close], sf.rel, (raw.name, raw.outer)))
-                except LayoutUnresolved:
-                    pass
-                j = close + 1
-                continue
-            if t.text == "CPT_CACHE_ALIGNED":
-                raw.alignas_req = max(raw.alignas_req, self.cache_line_bytes())
-                j += 1
-                continue
-            if t.text == ":":
-                colon = j
-                break
-            j += 1
-        if colon is None:
-            return
-        depth = 0
-        last_id = None
-        for k in range(colon + 1, open_i):
-            t = toks[k]
-            if t.text == "<":
-                depth += 1
-            elif t.text == ">":
-                depth -= 1
-            elif t.text == ">>":
-                depth -= 2
-            elif depth == 0 and t.text == ",":
-                if last_id:
-                    raw.bases.append(last_id)
-                last_id = None
-            elif (depth == 0 and t.kind == "id"
-                  and t.text not in ("public", "private", "protected",
-                                     "virtual", "final")
-                  and not _macro_like(t.text)):
-                last_id = t.text
-        if last_id:
-            raw.bases.append(last_id)
-
-    @staticmethod
-    def _scan_virtual(toks, open_i, close_i, decls):
-        nested = [(o, c) for (kw, _, o, c) in decls if open_i < o and c < close_i]
-        k = open_i + 1
-        while k < close_i:
-            hit = next((c for (o, c) in nested if o <= k <= c), None)
-            if hit is not None:
-                k = hit + 1
-                continue
-            if toks[k].kind == "id" and toks[k].text == "virtual":
-                return True
-            k += 1
-        return False
-
-    def _parse_members(self, toks, open_i, close_i, nested_starts, raw, sf):
-        members = []
-        stmt = []
-        saw_assign = False
-        k = open_i + 1
-        while k < close_i:
-            if k in nested_starts and k != open_i:
-                k = nested_starts[k] + 1  # skip the nested type's whole body
-                if k < close_i and toks[k].text == ";":
-                    k += 1
-                stmt, saw_assign = [], False
-                continue
-            t = toks[k]
-            if t.text in ("public", "private", "protected") \
-                    and k + 1 < close_i and toks[k + 1].text == ":":
-                k += 2
-                stmt, saw_assign = [], False
-                continue
-            if t.text in ("(", "["):
-                close = _match_paren(toks, k, t.text, ")" if t.text == "(" else "]")
-                stmt.extend(toks[k:close + 1])
-                k = close + 1
-                continue
-            if t.text == "{":
-                close = _match_paren(toks, k, "{", "}")
-                if saw_assign:
-                    k = close + 1  # brace expression inside an initializer
-                    continue
-                if close + 1 < len(toks) and toks[close + 1].text == ";":
-                    stmt.append(t)  # brace-init marker:  Vpn base_vpn{};
-                    k = close + 1
-                    continue
-                stmt, saw_assign = [], False  # method/ctor body
-                k = close + 1
-                continue
-            if t.text == ";":
-                m = self._parse_member_stmt(stmt, raw, sf)
-                if m is not None:
-                    members.append(m)
-                stmt, saw_assign = [], False
-                k += 1
-                continue
-            if t.text == "=":
-                saw_assign = True
-            stmt.append(t)
-            k += 1
-        return members
-
-    def _parse_member_stmt(self, stmt, raw, sf):
-        if not stmt:
-            return None
-        texts = [t.text for t in stmt]
-        if set(texts) & MEMBER_SKIP_SPECIFIERS or texts[0] == "~":
-            return None
-        alignas_req = 0
-        nua = False
-        clean = []
-        i = 0
-        while i < len(stmt):
-            t = stmt[i]
-            nxt = stmt[i + 1].text if i + 1 < len(stmt) else ""
-            if t.text == "[" and nxt == "[":
-                close = _match_paren(stmt, i, "[", "]")
-                attr = {x.text for x in stmt[i:close + 1]}
-                if "no_unique_address" in attr:
-                    nua = True
-                i = close + 1
-                continue
-            if t.text == "alignas" and nxt == "(":
-                close = _match_paren(stmt, i + 1, "(", ")")
-                try:
-                    alignas_req = max(alignas_req, self.eval_expr(
-                        stmt[i + 2:close], sf.rel, (raw.name, raw.outer)))
-                except LayoutUnresolved:
-                    pass
-                i = close + 1
-                continue
-            if t.kind == "id" and _macro_like(t.text):
-                if t.text == "CPT_CACHE_ALIGNED":
-                    alignas_req = max(alignas_req, self.cache_line_bytes())
-                    i += 1
-                    continue
-                if nxt == "(":
-                    close = _match_paren(stmt, i + 1, "(", ")")
-                    i = close + 1
-                    continue
-                i += 1  # bare annotation macro (CPT_HOT, CPT_COLD, ...)
-                continue
-            clean.append(t)
-            i += 1
-        if not clean:
-            return None
-        # Split off the initializer at the first top-level '=' BEFORE the
-        # function-declaration test below: a call in the initializer
-        # (`Attr a = Attr::ReadWrite();`) must not disguise the member as a
-        # function.  A real function with default arguments still trips the
-        # test, because its '(' precedes the first '='.
-        depth = 0
-        for j, t in enumerate(clean):
-            if t.text == "<":
-                depth += 1
-            elif t.text == ">":
-                depth -= 1
-            elif t.text == ">>":
-                depth -= 2
-            elif depth <= 0 and t.text == "=":
-                clean = clean[:j]
-                break
-        # An identifier (or closing bracket) directly followed by '(' is a
-        # function declaration, not a data member.
-        for j, t in enumerate(clean):
-            if t.text == "(" and j > 0 and (
-                    clean[j - 1].kind == "id" or clean[j - 1].text in (">", "]")):
-                return None
-        # Bit-field:  type name : width   ('::' is a distinct token).
-        bit_width = None
-        for j, t in enumerate(clean):
-            if t.text == ":" and 0 < j and clean[j - 1].kind == "id":
-                bit_width = clean[j + 1:]
-                clean = clean[:j]
-                break
-        extents = []
-        while clean and clean[-1].text == "]":
-            open_i = _match_paren_back(clean, len(clean) - 1, "[", "]")
-            extents.insert(0, clean[open_i + 1:len(clean) - 1])
-            clean = clean[:open_i]
-        if clean and clean[-1].text == "{":
-            clean = clean[:-1]  # brace-init marker
-        if len(clean) < 2 or clean[-1].kind != "id":
-            return None
-        name_tok = clean[-1]
-        return RawMember(name_tok.text, clean[:-1], extents, bit_width,
-                         alignas_req, nua, name_tok.line)
-
-    # ---- constants ---------------------------------------------------------
-
-    def cache_line_bytes(self):
-        return self.defines.get("CPT_CACHE_LINE", HOST_LINE_BYTES)
-
-    def const_value(self, name, file, classes):
-        entries = self._const_defs.get(name)
-        if entries is None:
-            if name in self.defines:
-                return self.defines[name]
-            raise LayoutUnresolved(f"unresolved constant '{name}'")
-        ranked = sorted(entries, key=lambda e: (
-            0 if e["cls"] in classes and e["cls"] is not None else 1,
-            0 if e["file"] == file else 1))
-        best = ranked[0]
-        if best["cls"] not in classes and best["file"] != file:
-            values = set()
-            for e in entries:
-                try:
-                    values.add(self._const_entry_value(e))
-                except LayoutUnresolved:
-                    pass
-            if len(values) == 1:
-                return values.pop()
-            raise LayoutUnresolved(
-                f"ambiguous constant '{name}' ({len(entries)} definitions)")
-        return self._const_entry_value(best)
-
-    def _const_entry_value(self, entry):
-        if entry["state"] == 2:
-            return entry["value"]
-        if entry["state"] == 1:
-            raise LayoutUnresolved("cyclic constant definition")
-        entry["state"] = 1
-        try:
-            toks = entry["toks"]
-            if toks and toks[0].text == "{":
-                close = _match_paren(toks, 0, "{", "}")
-                vals, cur = [], []
-                depth = 0
-                for t in toks[1:close]:
-                    if t.text in ("(", "{", "["):
-                        depth += 1
-                    elif t.text in (")", "}", "]"):
-                        depth -= 1
-                    if depth == 0 and t.text == ",":
-                        if cur:
-                            vals.append(self.eval_expr(
-                                cur, entry["file"], (entry["cls"],)))
-                        cur = []
-                    else:
-                        cur.append(t)
-                if cur:
-                    vals.append(self.eval_expr(cur, entry["file"],
-                                               (entry["cls"],)))
-                entry["value"] = tuple(vals)
-            else:
-                entry["value"] = self.eval_expr(
-                    toks, entry["file"], (entry["cls"],))
-            entry["state"] = 2
-            return entry["value"]
-        except LayoutUnresolved:
-            entry["state"] = 0
-            raise
-
-    # Minimal constant-expression evaluator: integer literals, k-constants
-    # (optionally class-qualified or array-indexed), #define'd integers,
-    # T{n} braced casts, parentheses, unary -/+/~ and the binary operators
-    # below in C precedence.
-    _BIN_LEVELS = (("|",), ("^",), ("&",), ("<<", ">>"), ("+", "-"),
-                   ("*", "/", "%"))
-
-    def eval_expr(self, toks, file, classes):
-        toks = [t for t in toks if not (t.kind == "id" and t.text in (
-            "static_cast", "std", "constexpr", "const"))
-            and t.text != "::"]
-        val, pos = self._eval_binary(toks, 0, 0, file, classes)
-        if pos != len(toks):
-            raise LayoutUnresolved(
-                "unsupported constant expression: "
-                + " ".join(t.text for t in toks))
-        return val
-
-    def _eval_binary(self, toks, pos, level, file, classes):
-        if level >= len(self._BIN_LEVELS):
-            return self._eval_unary(toks, pos, file, classes)
-        ops = self._BIN_LEVELS[level]
-        val, pos = self._eval_binary(toks, pos, level + 1, file, classes)
-        while pos < len(toks) and toks[pos].text in ops:
-            op = toks[pos].text
-            rhs, pos = self._eval_binary(toks, pos + 1, level + 1, file, classes)
-            if op == "|":
-                val |= rhs
-            elif op == "^":
-                val ^= rhs
-            elif op == "&":
-                val &= rhs
-            elif op == "<<":
-                val <<= rhs
-            elif op == ">>":
-                val >>= rhs
-            elif op == "+":
-                val += rhs
-            elif op == "-":
-                val -= rhs
-            elif op == "*":
-                val *= rhs
-            elif op == "/":
-                if rhs == 0:
-                    raise LayoutUnresolved("division by zero")
-                val //= rhs
-            elif op == "%":
-                if rhs == 0:
-                    raise LayoutUnresolved("modulo by zero")
-                val %= rhs
-        return val, pos
-
-    def _eval_unary(self, toks, pos, file, classes):
-        if pos < len(toks) and toks[pos].text in ("-", "+", "~"):
-            op = toks[pos].text
-            val, pos = self._eval_unary(toks, pos + 1, file, classes)
-            if op == "-":
-                val = -val
-            elif op == "~":
-                val = ~val
-            return val, pos
-        return self._eval_primary(toks, pos, file, classes)
-
-    def _eval_primary(self, toks, pos, file, classes):
-        if pos >= len(toks):
-            raise LayoutUnresolved("truncated constant expression")
-        t = toks[pos]
-        if t.kind == "num":
-            v = _int_literal(t.text)
-            if v is None:
-                raise LayoutUnresolved(f"non-integer literal {t.text}")
-            return v, pos + 1
-        if t.text == "(":
-            close = _match_paren(toks, pos, "(", ")")
-            val, inner = self._eval_binary(toks, pos + 1, 0, file, classes)
-            if inner != close:
-                raise LayoutUnresolved("unsupported parenthesized expression")
-            return val, close + 1
-        if t.kind == "id":
-            chain = [t.text]
-            pos += 1
-            while pos + 1 < len(toks) and toks[pos].kind == "id":
-                chain.append(toks[pos].text)
-                pos += 1
-            if pos < len(toks) and toks[pos].kind == "id":
-                chain.append(toks[pos].text)
-                pos += 1
-            # T{n}: a braced integral cast — the value is the operand's.
-            if pos < len(toks) and toks[pos].text == "{":
-                close = _match_paren(toks, pos, "{", "}")
-                val, inner = self._eval_binary(toks, pos + 1, 0, file, classes)
-                if inner != close:
-                    raise LayoutUnresolved("unsupported braced expression")
-                return val, close + 1
-            name = chain[-1]
-            hint = chain[-2] if len(chain) > 1 else None
-            ctx = (hint,) + tuple(classes) if hint else tuple(classes)
-            val = self.const_value(name, file, ctx)
-            if pos < len(toks) and toks[pos].text == "[":
-                close = _match_paren(toks, pos, "[", "]")
-                idx, inner = self._eval_binary(toks, pos + 1, 0, file, classes)
-                if inner != close:
-                    raise LayoutUnresolved("unsupported subscript expression")
-                if not isinstance(val, tuple) or not 0 <= idx < len(val):
-                    raise LayoutUnresolved(f"'{name}' is not an indexable "
-                                           f"constant array")
-                return val[idx], close + 1
-            if isinstance(val, tuple):
-                raise LayoutUnresolved(f"constant array '{name}' used as a "
-                                       f"scalar")
-            return val, pos
-        raise LayoutUnresolved(f"unsupported constant token '{t.text}'")
-
-    # ---- type resolution ---------------------------------------------------
-
-    def sim_line_bytes(self):
-        """(value, line) of kDefaultCacheLineSize, or raise."""
-        if self._sim_line is None:
-            entries = self._const_defs.get(SIM_LINE_CONST, [])
-            anchored = [e for e in entries if e["file"] == MODEL_TRUTH_ANCHOR_FILE]
-            if not anchored:
-                anchored = entries
-            if not anchored:
-                self._sim_line = f"constant {SIM_LINE_CONST} not found"
-            else:
-                try:
-                    self._sim_line = (self._const_entry_value(anchored[0]),
-                                      anchored[0]["file"])
-                except LayoutUnresolved as exc:
-                    self._sim_line = str(exc)
-        if isinstance(self._sim_line, str):
-            raise LayoutUnresolved(self._sim_line)
-        return self._sim_line[0]
-
-    def lookup_struct(self, name, file, classes):
-        """Qualified name of the project struct `name` resolves to in the
-        given context, or None when no project struct matches."""
-        for cls in classes:
-            if cls and f"{cls}::{name}" in self.structs:
-                return f"{cls}::{name}"
-        quals = self.by_name.get(name)
-        if not quals:
-            return None
-        same_file = [q for q in quals if self.structs[q].file == file]
-        if len(same_file) == 1:
-            return same_file[0]
-        if len(quals) == 1:
-            return quals[0]
-        # Ambiguous bare name across files: only safe if every candidate
-        # resolves to the identical layout.
-        layouts = set()
-        for q in quals:
-            lay = self.layouts.get(q)
-            if lay is None:
-                raise LayoutUnresolved(
-                    f"ambiguous type '{name}' ({len(quals)} definitions)")
-            layouts.add((lay.size, lay.align))
-        if len(layouts) == 1:
-            return quals[0]
-        raise LayoutUnresolved(
-            f"ambiguous type '{name}' with differing layouts")
-
-    def type_layout(self, toks, file, classes, stack=()):
-        """(size, align) of the type spelled by `toks` in the context of
-        `classes` (innermost first) within `file`."""
-        toks = [t for t in toks if not (
-            t.kind == "id" and t.text in STRIP_TYPE_TOKENS) and t.text != "::"]
-        if not toks:
-            raise LayoutUnresolved("empty type")
-        if any(t.text in ("*", "&", "&&") for t in toks):
-            return (8, 8)  # pointers, references, pointers-to-member-ish
-        base, hint, args = _split_template(toks)
-        if base is None:
-            raise LayoutUnresolved(
-                "unparsable type: " + " ".join(t.text for t in toks))
-        if args is None:
-            words = " ".join(t.text for t in toks
-                             if t.kind == "id" and t.text != "std")
-            if words in FUNDAMENTAL_LAYOUTS:
-                return FUNDAMENTAL_LAYOUTS[words]
-        if base in ATOMIC_WRAPPER_BASES and args:
-            s, _ = self.type_layout(args[0], file, classes, stack)
-            if s in (1, 2, 4, 8):
-                return (s, s)
-            raise LayoutUnresolved(f"atomic payload of {s} bytes")
-        if base == "optional" and args:
-            s, a = self.type_layout(args[0], file, classes, stack)
-            return (_align_up(s + 1, a), a)
-        if base == "array" and args and len(args) >= 2:
-            s, a = self.type_layout(args[0], file, classes, stack)
-            n = self.eval_expr(args[1], file, classes)
-            return (s * n, a)
-        if base == "pair" and args and len(args) >= 2:
-            off, align = 0, 1
-            for arg in args:
-                s, a = self.type_layout(arg, file, classes, stack)
-                off = _align_up(off, a) + s
-                align = max(align, a)
-            return (_align_up(off, align), align)
-        if base in self.enum_layouts:
-            cands = self.enum_layouts[base]
-            same = [c for c in cands if c[0] == file]
-            pick = same[0] if same else cands[0]
-            if not same and len({c[1] for c in cands}) > 1:
-                raise LayoutUnresolved(f"ambiguous enum '{base}'")
-            return pick[1]
-        if base in self.aliases and args is None:
-            cands = self.aliases[base]
-            same = [c for c in cands if c[0] == file]
-            pick = same[0] if same else cands[0]
-            return self.type_layout(pick[1], file, classes, stack)
-        ctx = (hint,) + tuple(classes) if hint else tuple(classes)
-        qual = self.lookup_struct(base, file, ctx)
-        if qual is not None:
-            lay = self._layout_of(qual, stack)
-            return (lay.size, lay.align)
-        if base in LIB_LAYOUTS:
-            return LIB_LAYOUTS[base]
-        raise LayoutUnresolved(
-            "unknown type: " + " ".join(t.text for t in toks))
-
-    def _layout_of(self, qual, stack=()):
-        if qual in self.layouts:
-            return self.layouts[qual]
-        if qual in self.skipped:
-            raise LayoutUnresolved(self.skipped[qual])
-        if qual in stack:
-            raise LayoutUnresolved(f"recursive type '{qual}'")
-        raw = self.structs[qual]
-        try:
-            lay = self._compute(raw, stack + (qual,))
-        except LayoutUnresolved as exc:
-            self.skipped[qual] = str(exc)
-            raise
-        self.layouts[qual] = lay
-        return lay
-
-    def _compute(self, raw, stack):
-        if raw.is_union:
-            raise LayoutUnresolved("union layout not modeled")
-        if raw.tparams:
-            for m in raw.members:
-                if any(t.kind == "id" and t.text in raw.tparams
-                       for t in m.type_toks):
-                    raise LayoutUnresolved(
-                        f"template-dependent member '{m.name}'")
-        classes = (raw.name, raw.outer)
-        offset, align = 0, 1
-        polymorphic = raw.has_virtual
-        base_layouts = []
-        for b in raw.bases:
-            bqual = self.lookup_struct(b, raw.file, classes)
-            if bqual is not None:
-                blay = self._layout_of(bqual, stack)
-                base_layouts.append(blay)
-                polymorphic = polymorphic or blay.polymorphic
-            elif b in LIB_LAYOUTS:
-                s, a = LIB_LAYOUTS[b]
-                base_layouts.append(StructLayout(
-                    b, b, "<lib>", 0, s, a, [], False, False))
-            else:
-                raise LayoutUnresolved(f"unresolved base class '{b}'")
-        if polymorphic and not (base_layouts and base_layouts[0].polymorphic):
-            offset, align = 8, 8  # the vptr word
-        for blay in base_layouts:
-            if blay.empty and not blay.polymorphic:
-                align = max(align, blay.align)  # empty-base optimization
-                continue
-            offset = _align_up(offset, blay.align) + blay.size
-            align = max(align, blay.align)
-        fields = []
-        bit_container = None  # (size, start_offset, bits_used)
-        for m in raw.members:
-            s, a = self.type_layout(m.type_toks, raw.file, classes, stack)
-            if m.bit_width is not None:
-                width = self.eval_expr(m.bit_width, raw.file, classes)
-                if width > s * 8:
-                    raise LayoutUnresolved(
-                        f"bit-field '{m.name}' wider than its type")
-                if (bit_container is not None and bit_container[0] == s
-                        and bit_container[2] + width <= s * 8 and width > 0):
-                    csize, cstart, used = bit_container
-                    bit_container = (csize, cstart, used + width)
-                    fields.append(FieldLayout(m.name, cstart, s, a, m.line,
-                                              width))
-                    continue
-                start = _align_up(offset, a)
-                bit_container = (s, start, width)
-                fields.append(FieldLayout(m.name, start, s, a, m.line,
-                                          width))
-                offset = start + s
-                align = max(align, a)
-                continue
-            bit_container = None
-            for ext in m.extents:
-                n = self.eval_expr(ext, raw.file, classes)
-                s *= n
-            a = max(a, m.alignas_req)
-            if m.no_unique_address and s <= 1 and not m.extents:
-                # Modeled as the empty-member optimization: zero bytes.
-                fields.append(FieldLayout(m.name, _align_up(offset, a), 0, a,
-                                          m.line, None))
-                align = max(align, a)
-                continue
-            start = _align_up(offset, a)
-            fields.append(FieldLayout(m.name, start, s, a, m.line, None))
-            offset = start + s
-            align = max(align, a)
-        align = max(align, raw.alignas_req)
-        size = _align_up(offset, align)
-        if size == 0:
-            size = 1
-        return StructLayout(raw.qual, raw.name, raw.file, raw.line, size,
-                            align, fields, raw.alignas_req
-                            >= self.cache_line_bytes(), polymorphic)
-
-    # ---- hot-struct reachability -------------------------------------------
-
-    def hot_struct_quals(self, project):
-        """Quals of structs reachable from CPT_HOT functions: classes that
-        define hot methods, types named in hot bodies, and the transitive
-        member-type closure of both."""
-        if self._hot_quals is not None:
-            return self._hot_quals
-        hot = project.ensure_hot_analysis()
-        seeds = set()
-        for fd in hot.defs:
-            if (fd.hot_depth is None or fd in hot.cold
-                    or hot._boundary(fd) or not _layout_scope(fd.file)):
-                continue
-            if fd.cls:
-                for qual in self.by_name.get(fd.cls, ()):
-                    seeds.add(qual)
-            toks = hot._tokens_by_file[fd.file]
-            for tok in toks[fd.start:fd.end + 1]:
-                if tok.kind == "id" and tok.text in self.by_name:
-                    ctx_qual = None
-                    try:
-                        ctx_qual = self.lookup_struct(
-                            tok.text, fd.file, (fd.cls,))
-                    except LayoutUnresolved:
-                        pass
-                    if ctx_qual:
-                        seeds.add(ctx_qual)
-        work = sorted(seeds)
-        reach = set(work)
-        while work:
-            qual = work.pop()
-            raw = self.structs.get(qual)
-            if raw is None:
-                continue
-            names = set(raw.bases)
-            for m in raw.members:
-                for t in m.type_toks:
-                    if t.kind == "id" and t.text in self.by_name:
-                        names.add(t.text)
-            for name in names:
-                try:
-                    nq = self.lookup_struct(name, raw.file,
-                                            (raw.name, raw.outer))
-                except LayoutUnresolved:
-                    continue
-                if nq and nq not in reach:
-                    reach.add(nq)
-                    work.append(nq)
-        self._hot_quals = reach
-        return reach
-
-    def quals_in(self, rel):
-        return self._file_quals.get(rel, [])
-
-
-# ---- ledger / report payloads ---------------------------------------------
-
-def _anchor_accounting_bytes(la, rel, func):
-    """Sorted distinct integer literals inside `func`'s body in `rel` —
-    the byte spans the accounting function charges per walk step."""
-    sf = la._files.get(rel)
-    if sf is None:
-        return None
-    for start, end in sf.function_spans():
-        name_idx, _ = _header_name(sf.tokens, start)
-        if name_idx is not None and sf.tokens[name_idx].text == func:
-            vals = set()
-            for t in sf.tokens[start:end + 1]:
-                if t.kind == "num":
-                    v = _int_literal(t.text)
-                    if v is not None and v > 1:
-                        vals.add(v)
-            return sorted(vals)
-    return None
-
-
-def layout_ledger_payload(project):
-    """The committed compiled-truth ledger: {size, align, field offsets} of
-    every hot-reachable resolved struct plus the model-truth table tying
-    CacheTouchModel's per-step constants to the node structs."""
-    la = project.ensure_layout_analysis()
-    try:
-        sim_line = la.sim_line_bytes()
-    except LayoutUnresolved:
-        sim_line = None
-    structs = {}
-    for qual in sorted(la.hot_struct_quals(project)):
-        lay = la.layouts.get(qual)
-        if lay is None or not lay.file.startswith("src/"):
-            continue
-        if _boundary_rel(lay.file):
-            continue  # boundary scaffolding is not ledgered
-        structs[qual] = {
-            "file": lay.file,
-            "size": lay.size,
-            "align": lay.align,
-            "fields": {f.name: f.offset for f in lay.fields},
-        }
-    model_truth = {}
-    for key, rel, func, node_qual in MODEL_TRUTH_ANCHORS:
-        spans = _anchor_accounting_bytes(la, rel, func)
-        lay = la.layouts.get(node_qual)
-        if spans is None or lay is None or sim_line is None:
-            continue
-        model_truth[key] = {
-            "file": rel,
-            "function": func,
-            "node": node_qual,
-            "accounting_bytes": spans,
-            "lines_per_access": [
-                (b + sim_line - 1) // sim_line for b in spans],
-            "struct_size": lay.size,
-            "struct_lines": (lay.size + sim_line - 1) // sim_line,
-        }
-    return {
-        "schema": "cpt-layout-ledger",
-        "version": 1,
-        "host_line_bytes": HOST_LINE_BYTES,
-        "sim_line_bytes": sim_line,
-        "word_bytes": 8,
-        "structs": structs,
-        "model_truth": model_truth,
-    }
-
-
-def layout_report(project):
-    """Resolution report: every modeled struct, every skip-with-notice, the
-    hot-reachable set, and the ledger payload the tree would commit."""
-    la = project.ensure_layout_analysis()
-    hot = la.hot_struct_quals(project)
-    return {
-        "resolved": {
-            qual: {
-                "file": lay.file,
-                "size": lay.size,
-                "align": lay.align,
-                "cache_aligned": lay.cache_aligned,
-                "hot": qual in hot,
-                "fields": [
-                    {"name": f.name, "offset": f.offset, "size": f.size,
-                     "align": f.align}
-                    for f in lay.fields],
-            }
-            for qual, lay in sorted(la.layouts.items())
-        },
-        "skipped": dict(sorted(la.skipped.items())),
-        "hot_structs": sorted(q for q in hot if q in la.layouts),
-        "ledger": layout_ledger_payload(project),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -2959,8 +1792,9 @@ class HotPathRule(Rule):
 class HotNoAlloc(HotPathRule):
     name = "hot-no-alloc"
     help = ("no heap allocation reachable from a CPT_HOT root: no new/"
-            "make_unique, no unreserved push_back/resize, no string "
-            "formatting or iostream (pair with cpt::HotPathScope, which "
+            "make_unique, no push_back/resize without an in-scope "
+            "reserve(), no string formatting or iostream (pair with "
+            "cpt::HotPathScope, which "
             "proves the same property dynamically)")
 
     ALLOC_CALLS = {"malloc", "calloc", "realloc", "strdup",
@@ -2998,13 +1832,13 @@ class HotNoAlloc(HotPathRule):
                 elif toks[j].text == ")":
                     j = _match_paren_back(toks, j) - 1
                 recv = toks[j].text if j >= 0 else ""
-                if recv in hot.reserved_receivers:
+                if hot.is_reserved(fd, recv):
                     continue  # capacity provisioned by a reserve() call
                 findings.append(Finding(
                     self.name, sf, t.line,
                     f"{recv}.{t.text}() {self.where(fd)} with no reserve() "
-                    f"anywhere for '{recv}'; pre-reserve so steady state "
-                    f"never reallocates"))
+                    f"for '{recv}' in its class or function; pre-reserve so "
+                    f"steady state never reallocates"))
             elif t.text in self.FORMAT_IDS and prev != "->":
                 findings.append(Finding(
                     self.name, sf, t.line,
@@ -3099,314 +1933,6 @@ class HotLockDiscipline(HotPathRule):
 
 
 # ---------------------------------------------------------------------------
-# Memory-layout rules (see the layout-model section above)
-# ---------------------------------------------------------------------------
-
-# Member-name words that mark a per-thread-sharded array or container.
-SHARD_WORDS = {"stripe", "stripes", "shard", "shards"}
-# Wrappers peeled to find a sharded container's element type.
-SHARD_WRAPPERS = {"array", "vector", "unique_ptr", "shared_ptr"}
-
-
-class LayoutRule(Rule):
-    """Shared scope gate: layout rules only ever see src/ and the layout_*
-    fixture family — even under --ignore-scope — so the historical fixture
-    goldens cannot grow layout findings."""
-
-    include = LAYOUT_SCOPE_GLOBS + (LAYOUT_FIXTURE_PREFIX + "*",)
-
-    def check(self, sf, project):
-        if not _layout_scope(sf.rel):
-            return []
-        return self.check_layout(sf, project)
-
-    def check_layout(self, sf, project):
-        raise NotImplementedError
-
-
-@register
-class FalseSharing(LayoutRule):
-    name = "false-sharing"
-    help = ("per-stripe/per-shard array elements must be CPT_CACHE_ALIGNED "
-            "(>= one destructive-interference line)")
-
-    def _shard_element(self, la, m, file, classes):
-        """The element type tokens of a sharded container member, peeling
-        array/vector/unique_ptr/shared_ptr wrappers; None if not sharded."""
-        if not set(identifier_words(m.name)) & SHARD_WORDS:
-            return None
-        toks = m.type_toks
-        if m.extents:
-            return toks  # C array: the declared type is the element
-        peeled = False
-        while True:
-            base, _, args = _split_template(toks)
-            if base in SHARD_WRAPPERS and args:
-                toks = args[0]
-                while toks and toks[-1].text in ("[", "]"):
-                    toks = toks[:-1]  # unique_ptr<T[]>
-                peeled = True
-                continue
-            # A scalar named shard_/lock_stripes is an index or a count,
-            # not per-shard storage; only real containers false-share.
-            return toks if peeled else None
-
-    def check_layout(self, sf, project):
-        la = project.ensure_layout_analysis()
-        line_bytes = la.cache_line_bytes()
-        findings = []
-        for qual in la.quals_in(sf.rel):
-            raw = la.structs[qual]
-            # Sharded containers: elements below a line false-share.
-            for m in raw.members:
-                elem = self._shard_element(la, m, raw.file,
-                                           (raw.name, raw.outer))
-                if elem is None:
-                    continue
-                etexts = [t.text for t in elem]
-                if any(t in ("*", "&") for t in etexts):
-                    continue  # an array of pointers shares nothing itself
-                aligned = False
-                enames = [t for t in etexts if t not in STRIP_TYPE_TOKENS
-                          and t != "std"]
-                for name in enames:
-                    try:
-                        eq = la.lookup_struct(name, raw.file,
-                                              (raw.name, raw.outer))
-                    except LayoutUnresolved:
-                        eq = None
-                    if eq is None:
-                        continue
-                    eraw = la.structs[eq]
-                    elay = la.layouts.get(eq)
-                    if (eraw.alignas_req >= line_bytes
-                            or (elay is not None
-                                and elay.align >= line_bytes)):
-                        aligned = True
-                    break
-                if not aligned:
-                    elem_str = " ".join(etexts)
-                    findings.append(Finding(
-                        self.name, sf, m.line,
-                        f"per-shard member '{m.name}' of {qual} has "
-                        f"elements of type '{elem_str}' not aligned to a "
-                        f"destructive-interference line; mark the element "
-                        f"type CPT_CACHE_ALIGNED (common/hotpath.h) so "
-                        f"adjacent shards cannot false-share"))
-        return findings
-
-
-@register
-class LayoutLedger(LayoutRule):
-    name = "layout-ledger"
-    help = ("every struct reachable from a CPT_HOT function must match the "
-            "committed tools/layout_ledger.json {size, align, field "
-            "offsets}; growth fails with a ratchet notice and --write-layout "
-            "regenerates; literal sizeof/alignof static_asserts are "
-            "cross-checked against the model")
-
-    exclude = HOT_BOUNDARY_GLOBS
-
-    def check_layout(self, sf, project):
-        la = project.ensure_layout_analysis()
-        ledger = project.load_layout_ledger()
-        findings = []
-        quals = la.quals_in(sf.rel)
-        hot = la.hot_struct_quals(project)
-        entries = (ledger or {}).get("structs", {})
-        for qual in quals:
-            lay = la.layouts.get(qual)
-            if lay is None:
-                continue
-            findings.extend(self._check_asserts(sf, la, qual, lay))
-            if qual not in hot or not sf.rel.startswith("src/"):
-                continue
-            if _boundary_rel(sf.rel):
-                continue
-            entry = entries.get(qual)
-            if entry is None:
-                findings.append(Finding(
-                    self.name, sf, lay.line,
-                    f"hot-reachable struct {qual} is missing from the "
-                    f"layout ledger; run cpt_lint.py --write-layout and "
-                    f"commit tools/layout_ledger.json"))
-                continue
-            if lay.size > entry["size"]:
-                findings.append(Finding(
-                    self.name, sf, lay.line,
-                    f"{qual} grew from {entry['size']} to {lay.size} bytes "
-                    f"(ratchet notice: every hot instance now touches "
-                    f"{(lay.size + HOST_LINE_BYTES - 1) // HOST_LINE_BYTES} "
-                    f"host lines); if intended, re-run --write-layout and "
-                    f"commit the new ledger"))
-            elif lay.size < entry["size"]:
-                findings.append(Finding(
-                    self.name, sf, lay.line,
-                    f"ledger entry for {qual} is stale ({entry['size']} "
-                    f"bytes committed, {lay.size} modeled); re-run "
-                    f"--write-layout"))
-            if lay.align != entry["align"]:
-                findings.append(Finding(
-                    self.name, sf, lay.line,
-                    f"{qual} alignment changed from {entry['align']} to "
-                    f"{lay.align}; re-run --write-layout"))
-            for f in lay.fields:
-                want = entry["fields"].get(f.name)
-                if want is None:
-                    findings.append(Finding(
-                        self.name, sf, f.line,
-                        f"field {qual}::{f.name} is not in the layout "
-                        f"ledger; re-run --write-layout"))
-                elif want != f.offset:
-                    old_line = want // HOST_LINE_BYTES
-                    new_line = f.offset // HOST_LINE_BYTES
-                    crossed = ("" if old_line == new_line else
-                               f" and moved from host line {old_line} to "
-                               f"{new_line}")
-                    findings.append(Finding(
-                        self.name, sf, f.line,
-                        f"field {qual}::{f.name} moved from offset {want} "
-                        f"to {f.offset}{crossed}; re-run --write-layout if "
-                        f"intended"))
-        return findings
-
-    def _check_asserts(self, sf, la, qual, lay):
-        """Literal static_assert(sizeof(X) == N) claims must match the
-        model, both operand orders."""
-        findings = []
-        toks = sf.tokens
-        raw = la.structs[qual]
-        for i, t in enumerate(toks):
-            if t.kind != "id" or t.text != "static_assert":
-                continue
-            if i + 1 >= len(toks) or toks[i + 1].text != "(":
-                continue
-            close = _match_paren(toks, i + 1, "(", ")")
-            inner = toks[i + 2:close]
-            for op, value in (("sizeof", lay.size), ("alignof", lay.align)):
-                got = self._assert_claim(inner, op, raw)
-                if got is not None and got != value:
-                    findings.append(Finding(
-                        self.name, sf, t.line,
-                        f"static_assert pins {op}({qual}) to {got} but the "
-                        f"layout model computes {value}; fix the assert or "
-                        f"the struct"))
-        return findings
-
-    @staticmethod
-    def _assert_claim(inner, op, raw):
-        """The literal N in `op(Name) == N` / `N == op(Name)`, else None."""
-        texts = [t.text for t in inner]
-        for j, txt in enumerate(texts):
-            if txt != op or j + 1 >= len(texts) or texts[j + 1] != "(":
-                continue
-            close = _match_paren(inner, j + 1, "(", ")")
-            # For a qualified argument (`sizeof(Outer::Inner)`) the claim is
-            # about the *last* identifier, not the enclosing class.
-            names = [x.text for x in inner[j + 2:close] if x.kind == "id"]
-            if not names or names[-1] != raw.name:
-                continue
-            # rhs:  op(Name) == N
-            if close + 2 < len(inner) and texts[close + 1] == "==" \
-                    and inner[close + 2].kind == "num":
-                return _int_literal(inner[close + 2].text)
-            # lhs:  N == op(Name)
-            if j >= 2 and texts[j - 1] == "==" and inner[j - 2].kind == "num":
-                return _int_literal(inner[j - 2].text)
-        return None
-
-
-@register
-class ModelTruthSync(LayoutRule):
-    name = "model-truth-sync"
-    help = ("the line-size and node-span constants CacheTouchModel charges "
-            "per walk step must equal the ledger-derived lines-per-node for "
-            "each PT organization's node struct, so simulated 'cache lines "
-            "per miss' provably describes the compiled structs")
-
-    def check_layout(self, sf, project):
-        if sf.rel != MODEL_TRUTH_ANCHOR_FILE:
-            return []
-        la = project.ensure_layout_analysis()
-        ledger = project.load_layout_ledger()
-        findings = []
-        if ledger is None:
-            return [Finding(
-                self.name, sf, 1,
-                f"no layout ledger at tools/layout_ledger.json; run "
-                f"cpt_lint.py --write-layout to pin the model-truth table")]
-        try:
-            sim_line = la.sim_line_bytes()
-        except LayoutUnresolved as exc:
-            return [Finding(
-                self.name, sf, 1,
-                f"cannot resolve {SIM_LINE_CONST}: {exc}")]
-        if sim_line & (sim_line - 1) or sim_line <= 0:
-            findings.append(Finding(
-                self.name, sf, 1,
-                f"{SIM_LINE_CONST} = {sim_line} is not a power of two"))
-        if ledger.get("sim_line_bytes") != sim_line:
-            findings.append(Finding(
-                self.name, sf, 1,
-                f"{SIM_LINE_CONST} = {sim_line} but the ledger pins "
-                f"{ledger.get('sim_line_bytes')}; re-run --write-layout"))
-        host = la.defines.get("CPT_CACHE_LINE")
-        if host is not None and host != ledger.get("host_line_bytes"):
-            findings.append(Finding(
-                self.name, sf, 1,
-                f"CPT_CACHE_LINE = {host} but the ledger pins "
-                f"{ledger.get('host_line_bytes')} host bytes"))
-        for name in ("MappingWord", "AtomicMappingWord"):
-            for qual in la.by_name.get(name, ()):
-                lay = la.layouts.get(qual)
-                if lay is not None and lay.size != ledger.get("word_bytes"):
-                    findings.append(Finding(
-                        self.name, sf, 1,
-                        f"{qual} is {lay.size} bytes but the model charges "
-                        f"{ledger.get('word_bytes')}-byte mapping words"))
-        payload = layout_ledger_payload(project)
-        committed = ledger.get("model_truth", {})
-        current = payload["model_truth"]
-        for key in sorted(set(committed) | set(current)):
-            want, got = committed.get(key), current.get(key)
-            if want is None:
-                findings.append(Finding(
-                    self.name, sf, 1,
-                    f"model-truth anchor '{key}' ({got['file']}:"
-                    f"{got['function']}) is not in the ledger; re-run "
-                    f"--write-layout"))
-            elif got is None:
-                findings.append(Finding(
-                    self.name, sf, 1,
-                    f"ledger model-truth entry '{key}' no longer resolves "
-                    f"(moved accounting function or node struct?); re-run "
-                    f"--write-layout"))
-            elif (want["accounting_bytes"] != got["accounting_bytes"]
-                  or want["lines_per_access"] != got["lines_per_access"]
-                  or want["struct_size"] != got["struct_size"]):
-                findings.append(Finding(
-                    self.name, sf, 1,
-                    f"model-truth drift for '{key}': {got['file']}:"
-                    f"{got['function']} charges {got['accounting_bytes']} "
-                    f"bytes/step ({got['lines_per_access']} lines at "
-                    f"{sim_line}B) over a {got['struct_size']}-byte "
-                    f"{got['node']}, but the ledger pins "
-                    f"{want['accounting_bytes']} bytes "
-                    f"({want['lines_per_access']} lines, "
-                    f"{want['struct_size']}-byte struct); reconcile the "
-                    f"accounting constants with the struct, then re-run "
-                    f"--write-layout"))
-        stale = sorted(set(ledger.get("structs") or {})
-                       - set(payload["structs"]))
-        for qual in stale:
-            findings.append(Finding(
-                self.name, sf, 1,
-                f"ledger struct entry '{qual}' no longer resolves or is no "
-                f"longer hot-reachable; re-run --write-layout"))
-        return findings
-
-
-# ---------------------------------------------------------------------------
 # Enum export (the single source of truth for Python-side validators)
 # ---------------------------------------------------------------------------
 
@@ -3436,12 +1962,6 @@ def export_enums(root=REPO_ROOT, roots=("src",)):
     """Module API for check_bench_json.py and the agreement tests."""
     files = collect_source_files(root, roots=roots)
     return export_enums_data(Project(files))
-
-
-def export_layout(root=REPO_ROOT):
-    """Module API for layout_sync_check.py: the full layout report."""
-    files = collect_source_files(root, roots=("src",))
-    return layout_report(Project(files))
 
 
 # ---------------------------------------------------------------------------
@@ -3540,22 +2060,17 @@ def _lint_file_at(index):
 
 
 HOT_RULES = ("hot-no-alloc", "hot-no-throw", "hot-lock-discipline")
-LAYOUT_RULES = ("false-sharing", "layout-ledger", "model-truth-sync")
 
 
 def run_rules(files, project, rule_names=None, ignore_scope=False, jobs=1,
               rule_timing=None):
     findings = []
     timing = Counter()
-    if rule_names is None or set(rule_names) & set(HOT_RULES + LAYOUT_RULES):
+    if rule_names is None or set(rule_names) & set(HOT_RULES):
         # Build the call graph (and the per-file function-span caches it
         # fills in) before any fork, so --jobs workers inherit one shared
         # analysis instead of recomputing it per child.
         project.ensure_hot_analysis()
-    if rule_names is None or set(rule_names) & set(LAYOUT_RULES):
-        # Same for the struct-layout model (which also leans on the hot
-        # analysis for the hot-reachable struct set).
-        project.ensure_layout_analysis()
     if jobs > 1 and len(files) > 1 and "fork" in multiprocessing.get_all_start_methods():
         global _FORK_CTX
         _FORK_CTX = (files, project, rule_names, ignore_scope)
@@ -3580,7 +2095,6 @@ def run_rules(files, project, rule_names=None, ignore_scope=False, jobs=1,
         # up cheap here because the cost is accounted once, not per rule.
         timing["file-parse"] += sum(sf.parse_seconds for sf in files)
         timing["hot-call-graph"] += project.hot_prepare_seconds
-        timing["layout-model"] += project.layout_prepare_seconds
         rule_timing.update(timing)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
@@ -3702,14 +2216,6 @@ def _main(argv=None):
                         help="rewrite the baseline from current findings")
     parser.add_argument("--export-enums", action="store_true",
                         help="dump enums/name tables under src/ as JSON and exit")
-    parser.add_argument("--layout-ledger", default=str(DEFAULT_LAYOUT_LEDGER),
-                        help="compiled-truth layout ledger file")
-    parser.add_argument("--write-layout", action="store_true",
-                        help="regenerate the layout ledger and exit")
-    parser.add_argument("--layout-report", action="store_true",
-                        help="print the layout-model report as JSON and exit")
-    parser.add_argument("--export-layout", action="store_true",
-                        help="alias of --layout-report (module-API parity)")
     parser.add_argument("--sarif", metavar="PATH",
                         help="also write new findings (all rules) as SARIF 2.1.0")
     parser.add_argument("--hot-debt", default=str(DEFAULT_HOT_DEBT),
@@ -3753,26 +2259,11 @@ def _main(argv=None):
     else:
         files = collect_source_files(root)
         project = Project(files)
-    project.layout_ledger_path = args.layout_ledger
     rule_names = set(args.rules.split(",")) if args.rules else None
     if rule_names is not None:
         unknown = rule_names - RULES.keys()
         if unknown:
             parser.error(f"unknown rules: {', '.join(sorted(unknown))}")
-
-    if args.layout_report or args.export_layout:
-        print(json.dumps(layout_report(project), indent=2))
-        return 0
-    if args.write_layout:
-        payload = layout_ledger_payload(project)
-        Path(args.layout_ledger).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        project._layout_ledger = False  # reload on next rule run
-        print(f"layout ledger written: {len(payload['structs'])} structs, "
-              f"{len(payload['model_truth'])} model-truth anchors -> "
-              f"{args.layout_ledger}")
-        return 0
 
     if args.write_hot_debt or args.check_hot_debt or args.hot_debt_report:
         analysis = project.ensure_hot_analysis()

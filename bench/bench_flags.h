@@ -20,17 +20,22 @@
 // tracer is ever attached, and the bench's text output is bit-identical to
 // the pre-telemetry binaries.
 //
-// Schema v2: every JSON report additionally carries a bench-wide "host_perf"
-// section (perf_event counters with rusage fallback — obs/perf.h's
-// degradation contract keeps the shape identical either way), a
+// Schema v2: every JSON report additionally carries a bench-wide host
+// counter section (perf_event counters with an rusage fallback), a
 // "throughput" section aggregating refs/sec over every recorded access
 // measurement, and per-measurement "timing" blocks gain per-phase host
 // samples.  v1 consumers must re-pin baselines.
 //
 // Schema v4: v3's "concurrency" section and its striped-insert machine
 // option are gone (page tables are single-writer; there are no locks to
-// report), and a host_perf object carries "counters"/"derived" only when
-// perf_event was available.  Simulated values are unchanged from v3.
+// report), and a host counter object carries "counters"/"derived" only
+// when perf_event was available.  Simulated values are unchanged from v3.
+//
+// Schema v5: every host counter object (bench-wide, per size entry, per
+// timing block, per phase) and "timing.phases" are gone.  Host time is the
+// wall-clock "timing" block (wall_seconds, refs_per_sec, misses_per_sec)
+// and the aggregate "throughput" section; per-layer host time is
+// perfbench/'s job.  Simulated values are unchanged from v4.
 //
 // Error handling: an unopenable path, a malformed flag, or a stream that
 // goes bad while writing all terminate the bench with a nonzero exit and a
@@ -50,7 +55,6 @@
 #include "obs/attribution.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
-#include "obs/perf.h"
 #include "obs/perfetto.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
@@ -62,10 +66,11 @@ namespace cpt::bench {
 
 // Version of the JSON document layout; bump on breaking schema changes.
 // tools/check_bench_json.py validates against this.
-// v2: host_perf + throughput sections, timing.phases, timeseries sidecar.
+// v2: host counters + throughput sections, timing.phases, timeseries sidecar.
 // v3: concurrency section (lock-contention sites), striped-insert option.
-// v4: v3's additions removed; degraded host_perf omits counters/derived.
-inline constexpr std::uint64_t kBenchSchemaVersion = 4;
+// v4: v3's additions removed; degraded host counters omit counters/derived.
+// v5: host counters and timing.phases removed; timing is wall-clock only.
+inline constexpr std::uint64_t kBenchSchemaVersion = 5;
 
 // Default time-series window width, in simulated references.
 inline constexpr std::uint64_t kDefaultTimeseriesWindow = 8192;
@@ -174,21 +179,17 @@ class BenchIo {
     tee_.Add(ring_.get());
     tee_.Add(perfetto_.get());
     tee_.Add(snapshotter_.get());
-    bench_perf_.Start();
   }
 
   ~BenchIo() {
-    const obs::HostPerfSample bench_perf = bench_perf_.Stop();
     if (writer_ != nullptr) {
       writer_->EndArray();
       if (!metrics_.empty()) {
         writer_->Key("metrics");
         metrics_.ToJson(*writer_);
       }
-      // Bench-wide host cost (whole process, all phases) and aggregate
-      // simulated-reference throughput over every recorded access run.
-      writer_->Key("host_perf");
-      obs::ToJson(*writer_, bench_perf);
+      // Aggregate simulated-reference throughput over every recorded
+      // access run.
       writer_->Key("throughput");
       writer_->BeginObject();
       writer_->KV("refs", throughput_refs_);
@@ -249,14 +250,6 @@ class BenchIo {
   sim::MeasureHooks Hooks() {
     return sim::MeasureHooks{.tracer = tee_.size() > 0 ? &tee_ : nullptr,
                              .collect = json_enabled()};
-  }
-
-  // Accumulates one run into the report's aggregate "throughput" section.
-  // RecordAccess calls this automatically; benches with their own replay
-  // loops (bench_micro) call it directly.
-  void AddThroughput(std::uint64_t refs, double seconds) {
-    throughput_refs_ += refs;
-    throughput_seconds_ += seconds;
   }
 
   // Records one access-time measurement under a series label ("clustered",
@@ -332,6 +325,12 @@ class BenchIo {
       std::exit(2);
     }
     return std::string(arg.substr(eq + 1));
+  }
+
+  // Accumulates one access run into the report's "throughput" section.
+  void AddThroughput(std::uint64_t refs, double seconds) {
+    throughput_refs_ += refs;
+    throughput_seconds_ += seconds;
   }
 
   [[noreturn]] static void Die(const char* what, const std::string& path) {
@@ -431,7 +430,6 @@ class BenchIo {
   std::unique_ptr<obs::IntervalSnapshotter> snapshotter_;  // After perfetto_.
   obs::TeeTracer tee_;  // Fans events out to every enabled consumer.
   obs::MetricRegistry metrics_;  // Attribution instruments, dumped at exit.
-  obs::HostPerfCounters bench_perf_;  // Whole-bench host-cost bracket.
   std::uint64_t throughput_refs_ = 0;      // Aggregate refs over access runs.
   double throughput_seconds_ = 0.0;        // Aggregate replay wall time.
   std::uint64_t timeseries_windows_ = 0;   // Windows written across sections.

@@ -3,22 +3,17 @@
 // The paper's metrics are counted cache lines, but the ROADMAP's
 // "measurably faster" mandate needs host-side throughput too: how many
 // trace references and TLB misses the *simulator* retires per second.
-// ScopedTimer measures one bracketed region; PhaseProfiler accumulates
-// named phases (snapshot build, preload, trace run) across a bench run.
+// ScopedTimer measures one bracketed region; it is the only clock read
+// cpt_lint.py's timing-discipline rule allows in src/, bench/, examples/
+// and tests/.  Per-layer and before/after host time come from perfbench/.
 #ifndef CPT_OBS_TIMER_H_
 #define CPT_OBS_TIMER_H_
 
 #include <chrono>
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "common/stats.h"
 
 namespace cpt::obs {
-
-class JsonWriter;
 
 // Adds the region's elapsed seconds to a double and/or a RunningStats
 // sample stream on destruction.
@@ -47,43 +42,6 @@ class ScopedTimer {
   double* out_;
   RunningStats* stats_;
   Clock::time_point start_;
-};
-
-// Accumulates wall-clock seconds per named phase.  Phases may repeat
-// (seconds and counts accumulate) but not nest.
-class PhaseProfiler {
- public:
-  struct Phase {
-    std::string name;
-    double seconds = 0.0;
-    std::uint64_t count = 0;
-  };
-
-  void Begin(std::string_view name);
-  void End();
-
-  // RAII phase bracket.
-  class Scope {
-   public:
-    Scope(PhaseProfiler& p, std::string_view name) : profiler_(p) { profiler_.Begin(name); }
-    ~Scope() { profiler_.End(); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    PhaseProfiler& profiler_;
-  };
-
-  const std::vector<Phase>& phases() const { return phases_; }
-  double TotalSeconds() const;
-
-  // JSON array of {name, seconds, count} in first-Begin order.
-  void ToJson(JsonWriter& w) const;
-
- private:
-  std::vector<Phase> phases_;
-  std::int64_t active_ = -1;  // Index into phases_, -1 when idle.
-  std::chrono::steady_clock::time_point started_{};
 };
 
 }  // namespace cpt::obs

@@ -1,18 +1,16 @@
 #include "sim/experiments.h"
 
 #include <cstdlib>
-#include <utility>
 
 #include "common/parse.h"
-#include "obs/perf.h"
+#include "obs/timer.h"
 
 namespace cpt::sim {
 
 SizeMeasurement MeasurePtSize(const workload::WorkloadSpec& spec, const SizeConfig& config,
                               MachineOptions base_opts) {
+  const obs::ScopedTimer timer(nullptr);
   SizeMeasurement m;
-  obs::HostPerfCounters perf;
-  perf.Start();
   const workload::Snapshot snapshot = workload::BuildSnapshot(spec);
 
   auto build = [&](PtKind kind, os::PteStrategy strategy) {
@@ -46,8 +44,7 @@ SizeMeasurement MeasurePtSize(const workload::WorkloadSpec& spec, const SizeConf
   m.normalized = m.hashed_bytes == 0
                      ? 0.0
                      : static_cast<double>(m.bytes) / static_cast<double>(m.hashed_bytes);
-  m.host_perf = perf.Stop();
-  m.wall_seconds = m.host_perf.wall_seconds;
+  m.wall_seconds = timer.Elapsed();
   return m;
 }
 
@@ -99,35 +96,10 @@ AccessMeasurement MeasureAccessTime(const workload::WorkloadSpec& spec, MachineO
     trace_len = spec.default_trace_length;
   }
   AccessMeasurement m;
-  obs::HostPerfCounters perf;
-  const auto close_phase = [&m](const char* name, std::uint64_t work,
-                                obs::HostPerfSample sample) {
-    PhasePerf phase;
-    phase.name = name;
-    phase.work = work;
-    phase.wall_seconds = sample.wall_seconds;
-    if (sample.wall_seconds > 0.0) {
-      phase.work_per_sec = static_cast<double>(work) / sample.wall_seconds;
-    }
-    phase.host = std::move(sample);
-    m.phases.push_back(std::move(phase));
-  };
-
-  perf.Start();
   const workload::Snapshot snapshot = workload::BuildSnapshot(spec);
-  std::uint64_t snapshot_pages = 0;
-  for (const auto& proc_pages : snapshot.pages) {
-    for (const auto& seg_pages : proc_pages) {
-      snapshot_pages += seg_pages.size();
-    }
-  }
-  close_phase("snapshot_build", snapshot_pages, perf.Stop());
-
-  perf.Start();
   Machine machine(opts, static_cast<unsigned>(spec.processes.size()));
   machine.Preload(snapshot);
   const std::uint64_t preload_faults = machine.TotalPageFaults();
-  close_phase("preload", preload_faults, perf.Stop());
 
   // Attach after Preload: events describe the measured trace, not the
   // preload fault storm.  The chain is machine -> attribution -> histogram
@@ -143,14 +115,12 @@ AccessMeasurement MeasureAccessTime(const workload::WorkloadSpec& spec, MachineO
   }
 
   workload::TraceGenerator gen(spec, snapshot);
-  perf.Start();
+  const obs::ScopedTimer timer(nullptr);
   for (std::uint64_t i = 0; i < trace_len; ++i) {
     const workload::Reference ref = gen.Next();
     machine.Access(ref.asid, ref.va);
   }
-  m.host_perf = perf.Stop();
-  m.wall_seconds = m.host_perf.wall_seconds;
-  close_phase("run", trace_len, m.host_perf);
+  m.wall_seconds = timer.Elapsed();
 
   m.workload = spec.name;
   m.avg_lines_per_miss = machine.AvgLinesPerMiss();

@@ -15,25 +15,12 @@
 
 #include "common/stats.h"
 #include "obs/attribution.h"
-#include "obs/perf.h"
 #include "obs/trace.h"
 #include "os/address_space.h"
 #include "sim/machine.h"
 #include "workload/workload.h"
 
 namespace cpt::sim {
-
-// Host-side cost of one driver phase (snapshot build, preload, replay),
-// bracketed by obs::HostPerfCounters.  `work` is the phase's natural unit —
-// pages for snapshot_build/preload, references for run — so work_per_sec is
-// pages/sec or refs/sec respectively.
-struct PhasePerf {
-  std::string name;
-  std::uint64_t work = 0;
-  double wall_seconds = 0.0;
-  double work_per_sec = 0.0;
-  obs::HostPerfSample host;
-};
 
 // One page-table configuration measured by the size experiments.
 struct SizeConfig {
@@ -52,7 +39,6 @@ struct SizeMeasurement {
   // Provenance + timing, stamped into JSON output.
   std::uint64_t rng_seed = 0;     // The workload spec's seed.
   double wall_seconds = 0.0;      // Snapshot build + preload time.
-  obs::HostPerfSample host_perf;  // Host cost of the whole measurement.
   MachineOptions options;         // Options of the measured (non-baseline) build.
 };
 
@@ -81,10 +67,6 @@ struct AccessMeasurement {
   double wall_seconds = 0.0;        // Trace-replay time (excludes preload).
   double refs_per_sec = 0.0;
   double misses_per_sec = 0.0;      // Effective-TLB misses per second.
-  // Host-side cost: one perf/rusage bracket per phase plus the replay-only
-  // sample (host_perf matches the timing fields above in scope).
-  obs::HostPerfSample host_perf;
-  std::vector<PhasePerf> phases;    // snapshot_build, preload, run.
   MachineOptions options;           // Full machine configuration.
   // Walk-shape telemetry; populated when MeasureHooks::collect is set.
   bool telemetry_valid = false;

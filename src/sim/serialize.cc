@@ -2,7 +2,6 @@
 
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
-#include "obs/perf.h"
 #include "obs/trace.h"
 
 namespace cpt::sim {
@@ -59,8 +58,6 @@ void ToJson(obs::JsonWriter& w, const SizeMeasurement& m) {
   w.EndObject();
   w.KV("rng_seed", m.rng_seed);
   w.KV("wall_seconds", m.wall_seconds);
-  w.Key("host_perf");
-  obs::ToJson(w, m.host_perf);
   w.Key("options");
   ToJson(w, m.options);
   w.EndObject();
@@ -84,21 +81,6 @@ void ToJson(obs::JsonWriter& w, const AccessMeasurement& m) {
   w.KV("wall_seconds", m.wall_seconds);
   w.KV("refs_per_sec", m.refs_per_sec);
   w.KV("misses_per_sec", m.misses_per_sec);
-  w.Key("host_perf");
-  obs::ToJson(w, m.host_perf);
-  w.Key("phases");
-  w.BeginArray();
-  for (const PhasePerf& phase : m.phases) {
-    w.BeginObject();
-    w.KV("name", phase.name);
-    w.KV("work", phase.work);
-    w.KV("wall_seconds", phase.wall_seconds);
-    w.KV("work_per_sec", phase.work_per_sec);
-    w.Key("host_perf");
-    obs::ToJson(w, phase.host);
-    w.EndObject();
-  }
-  w.EndArray();
   w.EndObject();
   if (m.audit_defects != 0 || !m.audit_summary.empty()) {
     w.KV("audit_defects", m.audit_defects);

@@ -2,7 +2,7 @@
 # benches at the trace length the committed BENCH_*.json baselines were
 # recorded with (CPT_TRACE_LEN=50000), validates each report against the
 # current schema, and requires tools/bench_diff.py to find no simulated
-# drift (wall-clock and host-perf keys are reported, never gated).
+# drift (wall-clock keys are reported, never gated).
 #
 # Invoked as:
 #   cmake -DBENCH_DIR=<dir with bench_*> -DSOURCE_DIR=<repo root>

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/machine.h"
@@ -71,27 +73,50 @@ TEST(HotGuardDeathTest, ContainerGrowthInsideScopeTrips) {
 
 // The integration proof behind the lint rules: after Preload() and a warm-up
 // replay has grown every pool and scratch buffer to its high-water mark, a
-// further replay slice performs zero heap allocations — on the conventional
-// hashed organization and on the paper's clustered table.
+// further replay slice performs zero heap allocations.  Covered: every
+// page-table organization behind the single-page TLB, and every Figure
+// 11b-d series behind its superpage or subblock TLB, on mp3d and coral.
 TEST(HotGuardTest, SteadyStateReplayDoesNotAllocate) {
-  for (const sim::PtKind pt : {sim::PtKind::kHashed, sim::PtKind::kClustered}) {
-    SCOPED_TRACE(sim::ToString(pt));
-    sim::MachineOptions opts;
-    opts.pt_kind = pt;
-    const auto& spec = workload::GetPaperWorkload("mp3d");
-    const auto snap = workload::BuildSnapshot(spec);
-    sim::Machine m(opts, 1);
-    m.Preload(snap);
-    workload::TraceGenerator gen(spec, snap);
-    for (int i = 0; i < 30000; ++i) {
-      const auto r = gen.Next();
-      m.Access(r.asid, r.va);
+  using sim::PtKind;
+  using sim::TlbKind;
+  std::vector<std::pair<PtKind, TlbKind>> configs;
+  for (const PtKind pt :
+       {PtKind::kLinear6, PtKind::kLinear1, PtKind::kLinearHashed, PtKind::kForward,
+        PtKind::kHashed, PtKind::kHashedMulti, PtKind::kHashedSpIndex, PtKind::kClustered,
+        PtKind::kClusteredAdaptive, PtKind::kHashedInverted}) {
+    configs.emplace_back(pt, TlbKind::kSinglePage);
+  }
+  for (const TlbKind tlb : {TlbKind::kSuperpage, TlbKind::kPartialSubblock}) {
+    for (const PtKind pt :
+         {PtKind::kLinear1, PtKind::kForward, PtKind::kHashedMulti, PtKind::kClustered}) {
+      configs.emplace_back(pt, tlb);
     }
-    // Steady state: the guard aborts the test on the first allocation.
-    HotPathScope guard("hotguard_test.steady_state_replay");
-    for (int i = 0; i < 30000; ++i) {
-      const auto r = gen.Next();
-      m.Access(r.asid, r.va);
+  }
+  for (const PtKind pt : {PtKind::kLinear1, PtKind::kForward, PtKind::kHashed,
+                          PtKind::kClustered}) {
+    configs.emplace_back(pt, TlbKind::kCompleteSubblock);
+  }
+  for (const char* name : {"mp3d", "coral"}) {
+    const auto& spec = workload::GetPaperWorkload(name);
+    const auto snap = workload::BuildSnapshot(spec);
+    for (const auto& [pt, tlb] : configs) {
+      SCOPED_TRACE(std::string(name) + "/" + sim::ToString(pt) + "/" + sim::ToString(tlb));
+      sim::MachineOptions opts;
+      opts.pt_kind = pt;
+      opts.tlb_kind = tlb;
+      sim::Machine m(opts, static_cast<unsigned>(spec.processes.size()));
+      m.Preload(snap);
+      workload::TraceGenerator gen(spec, snap);
+      for (int i = 0; i < 30000; ++i) {
+        const auto r = gen.Next();
+        m.Access(r.asid, r.va);
+      }
+      // Steady state: the guard aborts the test on the first allocation.
+      HotPathScope guard("hotguard_test.steady_state_replay");
+      for (int i = 0; i < 30000; ++i) {
+        const auto r = gen.Next();
+        m.Access(r.asid, r.va);
+      }
     }
   }
 }

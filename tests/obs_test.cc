@@ -348,19 +348,6 @@ TEST(TimerTest, ScopedTimerAccumulatesIntoBothSinks) {
   EXPECT_EQ(samples.count(), 2u);
 }
 
-TEST(TimerTest, PhaseProfilerAccumulatesRepeatedPhases) {
-  PhaseProfiler prof;
-  { PhaseProfiler::Scope s(prof, "preload"); }
-  { PhaseProfiler::Scope s(prof, "replay"); }
-  { PhaseProfiler::Scope s(prof, "replay"); }
-  ASSERT_EQ(prof.phases().size(), 2u);
-  EXPECT_EQ(prof.phases()[0].name, "preload");
-  EXPECT_EQ(prof.phases()[0].count, 1u);
-  EXPECT_EQ(prof.phases()[1].name, "replay");
-  EXPECT_EQ(prof.phases()[1].count, 2u);
-  EXPECT_GE(prof.TotalSeconds(), 0.0);
-}
-
 // --- Machine integration -------------------------------------------------
 
 // The contract the --json benches depend on: a tracer attached to a Machine

@@ -5,21 +5,16 @@ The simulator is deterministic: for an identical RNG seed and trace length,
 every *simulated* metric (miss counts, lines per miss, page-table bytes,
 histograms, attribution cells, ...) must match the baseline bit for bit.
 Wall-clock-derived keys (wall_seconds, refs_per_sec, misses_per_sec) and
-host-side subtrees (timing, host_perf, throughput, timeseries, phases) are
-machine noise; they are reported but only enforced when --time-tol is
-given.  A host-side key present in only one report (schema v4 omits
-host_perf "counters"/"derived" where perf_event was unavailable) is noise
-too, never a structural mismatch.
-
---throughput-tol adds a one-sided gate on the schema-v2 throughput keys
-(the report's aggregate refs_per_sec plus every micro entry's
-median_refs_per_sec): the diff fails when current falls more than the given
-fraction below baseline.  Faster-than-baseline never fails.
+host-side subtrees (timing, throughput, timeseries) are machine noise; they
+are reported but only enforced when --time-tol is given.  A host-side key
+present in only one report is noise too, never a structural mismatch.
+Host-time regressions are gated by running perfbench/ for the base and the
+head commit on one host (the perfbench-pair CI job), never against numbers
+recorded on another machine.
 
 Usage:
   tools/bench_diff.py baseline.json current.json
   tools/bench_diff.py baseline.json current.json --time-tol 0.5
-  tools/bench_diff.py BENCH_throughput.json current.json --throughput-tol 0.6
 
 Exit status: 0 = no drift, 1 = drift found, 2 = usage / malformed input.
 Stdlib-only (the repo's no-new-dependencies rule).
@@ -34,9 +29,8 @@ import sys
 TIMING_KEYS = {"wall_seconds", "refs_per_sec", "misses_per_sec"}
 
 # Subtrees that are host-side measurements end to end: anything under a
-# component with one of these names is timing noise (perf counters, rusage,
-# per-phase rates, per-rep throughput samples).
-TIMING_SUBTREES = {"timing", "host_perf", "throughput", "timeseries", "phases"}
+# component with one of these names is timing noise.
+TIMING_SUBTREES = {"timing", "throughput", "timeseries"}
 
 
 def flatten(value, prefix=""):
@@ -78,7 +72,6 @@ class Diff:
         self.rows = []          # (where, metric, baseline, current, verdict)
         self.hard_failures = 0  # Simulated drift or structural mismatch.
         self.timing_failures = 0
-        self.throughput_failures = 0
 
     def structural(self, where, message):
         self.rows.append((where, "<structure>", "", "", message))
@@ -95,8 +88,8 @@ class Diff:
                 denom = max(abs(base), abs(cur), 1e-12)
                 rel = abs(cur - base) / denom
             if not numeric:
-                # Availability / source / reason strings inside host_perf
-                # legitimately differ across hosts; never a failure.
+                # A non-numeric host-side value differs across hosts by
+                # nature; never a failure.
                 self.rows.append((where, path, base, cur, "host noise (non-numeric)"))
                 return
             if self.time_tol is not None and rel > self.time_tol:
@@ -126,8 +119,7 @@ class Diff:
 
     @property
     def failed(self):
-        return (self.hard_failures + self.timing_failures
-                + self.throughput_failures) > 0
+        return (self.hard_failures + self.timing_failures) > 0
 
     def render(self, out=sys.stdout):
         if not self.rows:
@@ -148,50 +140,6 @@ def _fmt(v):
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
-
-
-def throughput_points(report):
-    """Yields (where, refs_per_sec) gate points of a schema-v2 report."""
-    agg = report.get("throughput", {})
-    if isinstance(agg.get("refs_per_sec"), (int, float)):
-        yield "throughput", agg["refs_per_sec"]
-    for entry in report.get("entries", []):
-        if entry.get("type") != "micro":
-            continue
-        median = entry.get("throughput", {}).get("median_refs_per_sec")
-        if isinstance(median, (int, float)):
-            yield f"micro/{entry.get('series', '?')}", median
-
-
-def gate_throughput(d, baseline, current, tol):
-    """One-sided refs/sec gate: current may not fall > tol below baseline."""
-    base_points = dict(throughput_points(baseline))
-    cur_points = dict(throughput_points(current))
-    for where in sorted(base_points.keys() | cur_points.keys()):
-        if where not in cur_points:
-            d.structural(where, "throughput point missing from current")
-            continue
-        if where not in base_points:
-            d.structural(where, "throughput point not in baseline")
-            continue
-        base, cur = base_points[where], cur_points[where]
-        if base <= 0.0:
-            d.rows.append((where, "median_refs_per_sec", base, cur,
-                           "baseline zero; skipped"))
-            continue
-        ratio = cur / base
-        if ratio < 1.0 - tol:
-            d.rows.append((where, "median_refs_per_sec", base, cur,
-                           f"THROUGHPUT REGRESSION {1.0 - ratio:.1%} below "
-                           f"baseline > tol {tol:.0%}"))
-            d.throughput_failures += 1
-        elif ratio > 1.0 + tol:
-            d.rows.append((where, "median_refs_per_sec", base, cur,
-                           f"FASTER (+{ratio - 1.0:.1%}); consider re-pinning "
-                           "the baseline"))
-        else:
-            d.rows.append((where, "median_refs_per_sec", base, cur,
-                           f"within band ({ratio - 1.0:+.1%})"))
 
 
 def diff_reports(baseline, current, time_tol):
@@ -238,11 +186,6 @@ def main():
     parser.add_argument("--time-tol", type=float, default=None, metavar="FRAC",
                         help="fail when a timing key drifts more than this "
                              "relative fraction (default: report only)")
-    parser.add_argument("--throughput-tol", type=float, default=None,
-                        metavar="FRAC",
-                        help="fail when aggregate or per-micro refs/sec falls "
-                             "more than this fraction below baseline "
-                             "(one-sided; faster never fails)")
     args = parser.parse_args()
 
     try:
@@ -255,13 +198,10 @@ def main():
         return 2
 
     d = diff_reports(baseline, current, args.time_tol)
-    if args.throughput_tol is not None:
-        gate_throughput(d, baseline, current, args.throughput_tol)
     d.render()
     if d.failed:
         print(f"\nbench_diff: FAIL ({d.hard_failures} simulated/structural, "
-              f"{d.timing_failures} timing, "
-              f"{d.throughput_failures} throughput)")
+              f"{d.timing_failures} timing)")
         return 1
     noise = sum(1 for r in d.rows if "timing" in r[4])
     print(f"\nbench_diff: OK ({noise} timing-noise keys ignored)")

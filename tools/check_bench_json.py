@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 SCHEMA = "cpt-bench-report"
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # The single source of truth for event-kind names is the kEventKindNames
 # table in src/obs/trace.h.  Rather than regex-scraping the header here,
@@ -95,41 +95,7 @@ SIZE_FIELDS = {
     "census": dict,
     "rng_seed": int,
     "wall_seconds": (int, float),
-    "host_perf": dict,
     "options": dict,
-}
-
-# Shape of obs::ToJson(HostPerfSample).  The "counters" and "derived"
-# objects appear iff "available" is true (the degradation contract in
-# src/obs/perf.h): a perf-less host says so instead of reporting zeros.
-HOST_PERF_FIELDS = {
-    "available": bool,
-    "source": str,
-    "reason": str,
-    "wall_seconds": (int, float),
-    "user_seconds": (int, float),
-    "sys_seconds": (int, float),
-    "max_rss_kb": int,
-    "minor_faults": int,
-    "major_faults": int,
-    "voluntary_ctx_switches": int,
-    "involuntary_ctx_switches": int,
-}
-
-HOST_PERF_COUNTERS = {
-    "cycles", "instructions", "llc_misses", "dtlb_load_misses",
-    "branch_misses", "time_enabled_ns", "time_running_ns",
-}
-
-HOST_PERF_DERIVED = {"ipc", "llc_mpki", "dtlb_mpki", "branch_mpki"}
-
-MICRO_THROUGHPUT_FIELDS = {
-    "median_refs_per_sec": (int, float),
-    "best_refs_per_sec": (int, float),
-    "worst_refs_per_sec": (int, float),
-    "median_ns_per_op": (int, float),
-    "rep_refs_per_sec": list,
-    "rep_seconds": list,
 }
 
 OPTION_FIELDS = {
@@ -159,72 +125,10 @@ def check_options(opts, where):
     require(not missing, f"{where}: options missing {sorted(missing)}")
 
 
-def check_host_perf(hp, where):
-    check_fields(hp, HOST_PERF_FIELDS, where)
-    require(hp["source"] in ("perf_event", "rusage"),
-            f"{where}: host_perf source {hp['source']!r}")
-    if not hp["available"]:
-        require(hp["reason"], f"{where}: degraded host_perf must carry a reason")
-        require(hp["source"] == "rusage",
-                f"{where}: degraded host_perf must report source 'rusage'")
-        require("counters" not in hp and "derived" not in hp,
-                f"{where}: degraded host_perf must omit counters/derived")
-        return
-    for block in ("counters", "derived"):
-        require(isinstance(hp.get(block), dict), f"{where}: host_perf missing {block}")
-    missing = HOST_PERF_COUNTERS - hp["counters"].keys()
-    require(not missing, f"{where}: host_perf counters missing {sorted(missing)}")
-    for name in HOST_PERF_COUNTERS:
-        require(isinstance(hp["counters"][name], int),
-                f"{where}: host_perf counter '{name}' not an int")
-    missing = HOST_PERF_DERIVED - hp["derived"].keys()
-    require(not missing, f"{where}: host_perf derived missing {sorted(missing)}")
-    for name in HOST_PERF_DERIVED:
-        require(isinstance(hp["derived"][name], (int, float)),
-                f"{where}: host_perf derived '{name}' not numeric")
-
-
 def check_timing(timing, where):
     for field in ("wall_seconds", "refs_per_sec", "misses_per_sec"):
         require(isinstance(timing.get(field), (int, float)),
                 f"{where}: timing missing numeric '{field}'")
-    require(isinstance(timing.get("host_perf"), dict),
-            f"{where}: timing missing host_perf")
-    check_host_perf(timing["host_perf"], f"{where}.timing")
-    phases = timing.get("phases")
-    require(isinstance(phases, list) and phases,
-            f"{where}: timing missing non-empty phases")
-    for p, phase in enumerate(phases):
-        pw = f"{where}.phases[{p}]"
-        require(isinstance(phase.get("name"), str) and phase["name"],
-                f"{pw}: missing name")
-        require(isinstance(phase.get("work"), int), f"{pw}: missing int work")
-        for field in ("wall_seconds", "work_per_sec"):
-            require(isinstance(phase.get(field), (int, float)),
-                    f"{pw}: missing numeric '{field}'")
-        require(isinstance(phase.get("host_perf"), dict),
-                f"{pw}: missing host_perf")
-        check_host_perf(phase["host_perf"], pw)
-
-
-def check_micro_entry(entry, i):
-    where = f"entries[{i}] (micro/{entry.get('series', '?')})"
-    require("series" in entry, f"{where}: missing 'series'")
-    for field in ("iterations", "reps", "warmup_reps"):
-        require(isinstance(entry.get(field), int),
-                f"{where}: missing int '{field}'")
-    tp = entry.get("throughput")
-    require(isinstance(tp, dict), f"{where}: missing throughput")
-    check_fields(tp, MICRO_THROUGHPUT_FIELDS, where)
-    for field in ("rep_refs_per_sec", "rep_seconds"):
-        require(len(tp[field]) == entry["reps"],
-                f"{where}: {field} has {len(tp[field])} samples for "
-                f"{entry['reps']} reps")
-        require(all(isinstance(v, (int, float)) for v in tp[field]),
-                f"{where}: non-numeric sample in {field}")
-    require(isinstance(entry.get("host_perf"), dict),
-            f"{where}: missing host_perf")
-    check_host_perf(entry["host_perf"], where)
 
 
 def check_attribution(attr, where):
@@ -256,8 +160,6 @@ def check_measurement_entry(entry, i):
     fields = ACCESS_FIELDS if entry["type"] == "access" else SIZE_FIELDS
     check_fields(m, fields, where)
     check_options(m["options"], where)
-    if entry["type"] == "size":
-        check_host_perf(m["host_perf"], where)
     if entry["type"] == "access":
         check_timing(m["timing"], where)
         require(m["denominator_misses"] <= m["effective_misses"] + m.get("block_misses", 0)
@@ -300,8 +202,6 @@ def check_report_doc(doc):
             check_measurement_entry(entry, i)
         elif entry["type"] == "table":
             check_table_entry(entry, i)
-        elif entry["type"] == "micro":
-            check_micro_entry(entry, i)
         # Other custom entry types (rangeops, ...) only need type + series.
         else:
             require("series" in entry, f"entries[{i}]: missing 'series'")
@@ -312,10 +212,8 @@ def check_report_doc(doc):
                     f"metrics[{j}]: missing name")
             require(inst.get("type") in ("counter", "gauge", "histogram", "stats"),
                     f"metrics[{j}]: bad type {inst.get('type')!r}")
-    # v2: every report carries a bench-wide host_perf and an aggregate
-    # throughput section; timeseries summary appears iff --timeseries ran.
-    require(isinstance(doc.get("host_perf"), dict), "missing host_perf section")
-    check_host_perf(doc["host_perf"], "<report>")
+    # Every report carries an aggregate throughput section; the timeseries
+    # summary appears iff --timeseries ran.
     tp = doc.get("throughput")
     require(isinstance(tp, dict), "missing throughput section")
     require(isinstance(tp.get("refs"), int), "throughput missing int refs")
@@ -451,23 +349,6 @@ def check_perfetto(path):
     return len(events)
 
 
-def _sample_host_perf(available=True):
-    return {
-        "available": available,
-        "source": "perf_event" if available else "rusage",
-        "reason": "" if available else "perf_event_open: Operation not permitted",
-        "wall_seconds": 0.5, "user_seconds": 0.4, "sys_seconds": 0.1,
-        "max_rss_kb": 10240, "minor_faults": 12, "major_faults": 0,
-        "voluntary_ctx_switches": 1, "involuntary_ctx_switches": 2,
-    } | ({
-        "counters": {"cycles": 1000, "instructions": 2000, "llc_misses": 3,
-                     "dtlb_load_misses": 4, "branch_misses": 5,
-                     "time_enabled_ns": 100, "time_running_ns": 100},
-        "derived": {"ipc": 2.0, "llc_mpki": 1.5, "dtlb_mpki": 2.0,
-                    "branch_mpki": 2.5},
-    } if available else {})
-
-
 def _self_test_sections():
     """Synthetic-document round trips for the report sections: each valid doc
     must pass, each deliberately broken variant must raise Failure."""
@@ -475,16 +356,17 @@ def _self_test_sections():
         "schema": SCHEMA, "schema_version": SCHEMA_VERSION, "bench": "t",
         "trace_len_override": 0,
         "entries": [{
-            "type": "micro", "series": "lookup/clustered",
-            "iterations": 1000, "reps": 3, "warmup_reps": 1, "slowdown": 0,
-            "throughput": {
-                "median_refs_per_sec": 2e7, "best_refs_per_sec": 2.2e7,
-                "worst_refs_per_sec": 1.9e7, "median_ns_per_op": 50.0,
-                "rep_refs_per_sec": [1.9e7, 2e7, 2.2e7],
-                "rep_seconds": [5e-5, 5e-5, 4.5e-5]},
-            "host_perf": _sample_host_perf(False),
+            "type": "access", "series": "clustered",
+            "measurement": {
+                "workload": "w", "avg_lines_per_miss": 1.5,
+                "denominator_misses": 2, "effective_misses": 2,
+                "trace_refs": 3000, "miss_ratio": 0.001, "pt_bytes": 4096,
+                "page_faults": 0, "rng_seed": 1,
+                "timing": {"wall_seconds": 1.5e-4, "refs_per_sec": 2e7,
+                           "misses_per_sec": 1.3e4},
+                "options": dict.fromkeys(OPTION_FIELDS, 0),
+            },
         }],
-        "host_perf": _sample_host_perf(True),
         "throughput": {"refs": 3000, "wall_seconds": 1.5e-4,
                        "refs_per_sec": 2e7},
         "timeseries": {"window_refs": 512, "total_refs": 3000, "windows": 6},
@@ -493,26 +375,11 @@ def _self_test_sections():
 
     import copy
     broken = copy.deepcopy(valid)
-    del broken["host_perf"]
-    checks.append(("missing host_perf section", broken, "host_perf"))
-    broken = copy.deepcopy(valid)
-    broken["entries"][0]["host_perf"]["reason"] = ""
-    checks.append(("degraded without reason", broken, "reason"))
-    broken = copy.deepcopy(valid)
     del broken["throughput"]["refs_per_sec"]
     checks.append(("throughput missing refs_per_sec", broken, "refs_per_sec"))
     broken = copy.deepcopy(valid)
-    broken["entries"][0]["throughput"]["rep_seconds"] = [1.0]
-    checks.append(("rep count mismatch", broken, "samples"))
-    broken = copy.deepcopy(valid)
-    del broken["host_perf"]["counters"]["dtlb_load_misses"]
-    checks.append(("missing perf counter", broken, "dtlb_load_misses"))
-    broken = copy.deepcopy(valid)
-    broken["entries"][0]["host_perf"]["counters"] = dict.fromkeys(HOST_PERF_COUNTERS, 0)
-    checks.append(("degraded with zeroed counters", broken, "omit counters/derived"))
-    broken = copy.deepcopy(valid)
-    del broken["host_perf"]["derived"]
-    checks.append(("available without derived", broken, "missing derived"))
+    del broken["entries"][0]["measurement"]["timing"]["misses_per_sec"]
+    checks.append(("timing missing misses_per_sec", broken, "misses_per_sec"))
 
     for label, doc, expect in checks:
         try:
@@ -597,7 +464,7 @@ def main():
             print(f"FAIL self-test: {e}")
             return 1
         print(f"OK   self-test: {len(EVENT_KINDS)} event kinds via cpt_lint; "
-              "host_perf/throughput/timeseries validators "
+              "timing/throughput/timeseries validators "
               "round-trip")
         return 0
 

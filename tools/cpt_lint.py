@@ -32,10 +32,9 @@ Rules (see DESIGN.md "Static analysis" for the catalog and policy):
                           common/rng.h; no float literal ==/!= compares.
   timing-discipline       no raw std::chrono clocks (steady_clock,
                           high_resolution_clock, system_clock) or
-                          clock_gettime/clock_getres outside obs/timer.*
-                          and obs/perf.* — every host-time measurement
-                          flows through ScopedTimer/PhaseProfiler or
-                          HostPerfCounters so reports stay comparable.
+                          clock_gettime/clock_getres outside obs/timer.h
+                          — every host-time measurement flows through
+                          ScopedTimer so reports stay comparable.
   include-guard           headers use canonical CPT_..._H_ guards with a
                           matching  #endif  //  comment.
   nodiscard-query         Lookup/LookupKey query methods in headers must
@@ -1403,12 +1402,10 @@ class DeterminismGuards(Rule):
 @register
 class TimingDiscipline(Rule):
     name = "timing-discipline"
-    help = ("raw clock reads live only in obs/timer.* and obs/perf.*; "
-            "measure host time with ScopedTimer/PhaseProfiler or "
-            "HostPerfCounters so every reported number shares one clock")
+    help = ("raw clock reads live only in obs/timer.h; measure host time "
+            "with ScopedTimer so every reported number shares one clock")
     include = ("src/*", "bench/*", "examples/*", "tests/*")
-    exclude = ("src/obs/timer.h", "src/obs/timer.cc",
-               "src/obs/perf.h", "src/obs/perf.cc")
+    exclude = ("src/obs/timer.h",)
 
     # std::chrono clock types whose now() is a raw wall/CPU-time read.
     BANNED_CLOCKS = {"steady_clock", "high_resolution_clock", "system_clock"}
@@ -1430,13 +1427,12 @@ class TimingDiscipline(Rule):
                 findings.append(Finding(
                     self.name, sf, t.line,
                     f"raw std::chrono::{t.text} use; route host timing "
-                    "through obs/timer.h (ScopedTimer/PhaseProfiler) or "
-                    "obs/perf.h (HostPerfCounters)"))
+                    "through obs/timer.h (ScopedTimer)"))
             elif t.text in self.BANNED_CALLS and nxt == "(":
                 findings.append(Finding(
                     self.name, sf, t.line,
                     f"{t.text}() bypasses the shared timing layer; use "
-                    "obs/timer.h or obs/perf.h"))
+                    "obs/timer.h"))
         return findings
 
 

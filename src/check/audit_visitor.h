@@ -73,7 +73,20 @@ struct TlbEntryView {
 class TlbAuditVisitor {
  public:
   virtual ~TlbAuditVisitor() = default;
+  // One call per entry, in slot order.
   virtual void OnEntry(const TlbEntryView& entry) = 0;
+  // TLBs over a tlb::EntryStore then report their tag index: every slot
+  // linked into the chain of `bucket`, in chain order...
+  virtual void OnIndexLink(std::uint32_t bucket, std::uint32_t slot) {
+    (void)bucket;
+    (void)slot;
+  }
+  // ...and, per valid slot, the slot a probe for that entry's own key
+  // resolves to (~0u when the probe finds nothing).
+  virtual void OnIndexProbe(std::uint32_t slot, std::uint32_t resolved) {
+    (void)slot;
+    (void)resolved;
+  }
 };
 
 // ---------------------------------------------------------------------------

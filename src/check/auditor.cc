@@ -532,7 +532,15 @@ namespace {
 class EntryCollector final : public TlbAuditVisitor {
  public:
   void OnEntry(const TlbEntryView& entry) override { entries.push_back(entry); }
+  void OnIndexLink(std::uint32_t bucket, std::uint32_t slot) override {
+    links.emplace_back(bucket, slot);
+  }
+  void OnIndexProbe(std::uint32_t slot, std::uint32_t resolved) override {
+    probes.emplace_back(slot, resolved);
+  }
   std::vector<TlbEntryView> entries;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> links;   // (bucket, slot)
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> probes;  // (slot, resolved)
 };
 
 std::string EntryId(const TlbEntryView& e) {
@@ -557,6 +565,30 @@ void CheckNoDuplicateTags(const std::vector<TlbEntryView>& entries, AuditReport&
   }
 }
 
+// The tag index of a tlb::EntryStore (the second representation of the
+// entries) must agree with the slots: a probe for each valid entry's own key
+// resolves to that entry's slot, and the chains link valid slots only, each
+// once.
+void CheckTagIndex(const EntryCollector& c, AuditReport& report) {
+  std::vector<std::uint32_t> seen(c.entries.size(), 0);
+  for (const auto& [bucket, slot] : c.links) {
+    if (slot >= c.entries.size()) {
+      report.Add("tag index bucket " + Str(bucket) + " links slot " + Str(slot) +
+                 " past the last entry");
+    } else if (!c.entries[slot].valid) {
+      report.Add("tag index bucket " + Str(bucket) + " links invalid slot " + Str(slot));
+    } else if (++seen[slot] == 2) {
+      report.Add("tag index links slot " + Str(slot) + " more than once");
+    }
+  }
+  for (const auto& [slot, resolved] : c.probes) {
+    if (resolved != slot) {
+      report.Add(EntryId(c.entries[slot]) + ": not reachable through the tag index at slot " +
+                 Str(slot));
+    }
+  }
+}
+
 }  // namespace
 
 AuditReport StructuralAuditor::AuditTlb(const tlb::Tlb& t) {
@@ -565,10 +597,12 @@ AuditReport StructuralAuditor::AuditTlb(const tlb::Tlb& t) {
   if (const auto* tlb = dynamic_cast<const tlb::SinglePageTlb*>(&t)) {
     tlb->AuditVisit(c);
     CheckNoDuplicateTags(c.entries, report);
+    CheckTagIndex(c, report);
     return report;
   }
   if (const auto* tlb = dynamic_cast<const tlb::SuperpageTlb*>(&t)) {
     tlb->AuditVisit(c);
+    CheckTagIndex(c, report);
     for (const TlbEntryView& e : c.entries) {
       if (!e.valid) {
         continue;
@@ -610,6 +644,7 @@ AuditReport StructuralAuditor::AuditTlb(const tlb::Tlb& t) {
       }
     }
     CheckNoDuplicateTags(c.entries, report);
+    CheckTagIndex(c, report);
     return report;
   }
   if (const auto* tlb = dynamic_cast<const tlb::CompleteSubblockTlb*>(&t)) {
@@ -633,6 +668,7 @@ AuditReport StructuralAuditor::AuditTlb(const tlb::Tlb& t) {
       }
     }
     CheckNoDuplicateTags(c.entries, report);
+    CheckTagIndex(c, report);
     return report;
   }
   if (const auto* tlb = dynamic_cast<const tlb::DualSizeSetAssocTlb*>(&t)) {

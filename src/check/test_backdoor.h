@@ -19,6 +19,7 @@
 #include "core/clustered.h"
 #include "mem/reservation.h"
 #include "pt/hashed.h"
+#include "tlb/entry_store.h"
 
 namespace cpt::check {
 
@@ -92,6 +93,21 @@ class TestBackdoor {
     for (auto& group : alloc.groups_) {
       if (group.used_mask != 0) {
         group.used_mask &= group.used_mask - 1;  // Drop lowest set bit.
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Unlinks the head of the first non-empty tag-index chain of a TLB over a
+  // tlb::EntryStore: the entry stays valid in its slot, but no probe can
+  // reach it any more — the "lost index link" defect.
+  template <typename IndexedTlb>
+  static bool DropTlbIndexLink(IndexedTlb& tlb) {
+    tlb::EntryStore& store = tlb.store_;
+    for (std::uint32_t& head : store.heads_) {
+      if (head != tlb::EntryStore::kNone) {
+        head = store.slots_[head].next;
         return true;
       }
     }

@@ -6,49 +6,35 @@
 namespace cpt::tlb {
 
 CompleteSubblockTlb::CompleteSubblockTlb(unsigned num_entries, unsigned subblock_factor)
-    : Tlb(num_entries), factor_(subblock_factor), entries_(num_entries) {
+    : Tlb(num_entries),
+      factor_(subblock_factor),
+      store_(num_entries, EntryStore::FillOrder::kFirstInvalid),
+      vectors_(num_entries),
+      ppns_(std::size_t{num_entries} * subblock_factor) {
   CPT_CHECK(IsPowerOfTwo(subblock_factor) && subblock_factor <= kMaxFactor,
             "per-entry valid vector is one 64-bit word");
 }
 
-CompleteSubblockTlb::Entry* CompleteSubblockTlb::FindTag(Asid asid, Vpbn vpbn) {
-  for (Entry& e : entries_) {
-    if (e.valid && e.asid == asid && e.vpbn == vpbn) {
-      return &e;
-    }
+std::uint32_t CompleteSubblockTlb::SlotFor(Asid asid, Vpbn vpbn) {
+  const EntryStore::Key key = KeyOf(asid, vpbn);
+  std::uint32_t slot = store_.Find(key);
+  if (slot == EntryStore::kNone) {
+    // Block miss: a fresh entry with an empty vector, stamped on allocation.
+    slot = store_.Claim(key);
+    vectors_[slot] = 0;
+    store_.set_stamp(slot, NextStamp());
   }
-  return nullptr;
-}
-
-CompleteSubblockTlb::Entry& CompleteSubblockTlb::AllocEntry(Asid asid, Vpbn vpbn) {
-  Entry* victim = &entries_[0];
-  for (Entry& e : entries_) {
-    if (!e.valid) {
-      victim = &e;
-      break;
-    }
-    if (victim->valid && e.stamp < victim->stamp) {
-      victim = &e;
-    }
-  }
-  *victim = Entry{};
-  victim->asid = asid;
-  victim->vpbn = vpbn;
-  victim->valid = true;
-  victim->stamp = NextStamp();
-  return *victim;
+  return slot;
 }
 
 LookupOutcome CompleteSubblockTlb::Lookup(Asid asid, Vpn vpn) {
-  const Vpbn vpbn = VpbnOf(vpn, factor_);
-  Entry* e = FindTag(asid, vpbn);
-  if (e == nullptr) {
+  const std::uint32_t slot = store_.Find(KeyOf(asid, VpbnOf(vpn, factor_)));
+  if (slot == EntryStore::kNone) {
     RecordMiss(LookupOutcome::kBlockMiss);
     return LookupOutcome::kBlockMiss;
   }
-  const unsigned boff = BoffOf(vpn, factor_);
-  if ((e->vector >> boff) & 1u) {
-    e->stamp = NextStamp();
+  if ((vectors_[slot] >> BoffOf(vpn, factor_)) & 1u) {
+    store_.set_stamp(slot, NextStamp());
     RecordHit();
     return LookupOutcome::kHit;
   }
@@ -57,62 +43,53 @@ LookupOutcome CompleteSubblockTlb::Lookup(Asid asid, Vpn vpn) {
 }
 
 void CompleteSubblockTlb::Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
-  const Vpbn vpbn = VpbnOf(vpn, factor_);
-  Entry* e = FindTag(asid, vpbn);
-  if (e == nullptr) {
-    e = &AllocEntry(asid, vpbn);
-  }
+  const std::uint32_t slot = SlotFor(asid, VpbnOf(vpn, factor_));
   const unsigned boff = BoffOf(vpn, factor_);
-  e->vector |= std::uint64_t{1} << boff;
-  e->ppns[boff] = fill.Translate(vpn);
-  e->stamp = NextStamp();
+  vectors_[slot] |= std::uint64_t{1} << boff;
+  ppns_[std::size_t{slot} * factor_ + boff] = fill.Translate(vpn);
+  store_.set_stamp(slot, NextStamp());
 }
 
 void CompleteSubblockTlb::InsertBlock(Asid asid, Vpn vpn, std::span<const pt::TlbFill> fills) {
   const Vpbn vpbn = VpbnOf(vpn, factor_);
-  Entry* e = FindTag(asid, vpbn);
-  if (e == nullptr) {
-    e = &AllocEntry(asid, vpbn);
-  }
+  const std::uint32_t slot = SlotFor(asid, vpbn);
+  Ppn* ppns = &ppns_[std::size_t{slot} * factor_];
   const Vpn first = FirstVpnOfBlock(vpbn, factor_);
   for (const pt::TlbFill& fill : fills) {
     for (unsigned i = 0; i < factor_; ++i) {
       if (fill.Covers(first + i)) {
-        e->vector |= std::uint64_t{1} << i;
-        e->ppns[i] = fill.Translate(first + i);
+        vectors_[slot] |= std::uint64_t{1} << i;
+        ppns[i] = fill.Translate(first + i);
       }
     }
   }
-  e->stamp = NextStamp();
+  store_.set_stamp(slot, NextStamp());
 }
 
-void CompleteSubblockTlb::Flush() {
-  for (Entry& e : entries_) {
-    e.valid = false;
-  }
-}
+void CompleteSubblockTlb::Flush() { store_.Flush(); }
 
 void CompleteSubblockTlb::AuditVisit(check::TlbAuditVisitor& visitor) const {
-  for (const Entry& e : entries_) {
+  for (std::uint32_t slot = 0; slot < store_.size(); ++slot) {
     check::TlbEntryView view;
     view.set = 0;
-    view.valid = e.valid;
-    view.asid = e.asid;
-    view.stamp = e.stamp;
-    view.base_vpn = FirstVpnOfBlock(e.vpbn, factor_);
+    view.valid = store_.valid(slot);
+    view.asid = store_.asid(slot);
+    view.stamp = store_.stamp(slot);
+    view.base_vpn = FirstVpnOfBlock(Vpbn{store_.tag(slot)}, factor_);
     view.base_ppn = Ppn{};
     view.pages_log2 = Log2(factor_);
-    view.valid_vector = e.vector;
+    view.valid_vector = vectors_[slot];
     view.block_entry = true;
-    if (e.valid) {
+    if (view.valid) {
       for (unsigned i = 0; i < factor_; ++i) {
-        if ((e.vector >> i) & 1u) {
-          view.translations.emplace_back(view.base_vpn + i, e.ppns[i]);
+        if ((vectors_[slot] >> i) & 1u) {
+          view.translations.emplace_back(view.base_vpn + i, ppns_[std::size_t{slot} * factor_ + i]);
         }
       }
     }
     visitor.OnEntry(view);
   }
+  store_.AuditIndex(visitor);
 }
 
 }  // namespace cpt::tlb

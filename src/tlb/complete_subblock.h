@@ -12,12 +12,12 @@
 #ifndef CPT_TLB_COMPLETE_SUBBLOCK_H_
 #define CPT_TLB_COMPLETE_SUBBLOCK_H_
 
-#include <array>
 #include <span>
 #include <vector>
 
 #include "check/fwd.h"
 #include "common/hotpath.h"
+#include "tlb/entry_store.h"
 #include "tlb/tlb.h"
 
 namespace cpt::tlb {
@@ -45,22 +45,16 @@ class CompleteSubblockTlb final : public Tlb {
  private:
   friend class check::TestBackdoor;
 
-  struct Entry {
-    Asid asid = 0;
-    Vpbn vpbn{};
-    std::uint64_t vector = 0;  // Valid bit per base page.
-    std::array<Ppn, kMaxFactor> ppns{};
-    bool valid = false;
-    std::uint64_t stamp = 0;
-  };
-  // Host layout pin (DESIGN.md "Layout pins").
-  static_assert(sizeof(Entry) == 552 && alignof(Entry) == 8);
-
-  Entry* FindTag(Asid asid, Vpbn vpbn);
-  Entry& AllocEntry(Asid asid, Vpbn vpbn);
+  static EntryStore::Key KeyOf(Asid asid, Vpbn vpbn) {
+    return EntryStore::MakeKey(asid, 0, vpbn.raw());
+  }
+  // The slot holding (asid, vpbn), allocating one (LRU evict) if needed.
+  std::uint32_t SlotFor(Asid asid, Vpbn vpbn);
 
   unsigned factor_;
-  std::vector<Entry> entries_;
+  EntryStore store_;                    // Tag: the VPBN.
+  std::vector<std::uint64_t> vectors_;  // Valid bit per base page.
+  std::vector<Ppn> ppns_;               // factor_ PPNs per slot.
 };
 
 }  // namespace cpt::tlb

@@ -1,5 +1,7 @@
 #include "tlb/partial_subblock.h"
 
+#include <algorithm>
+
 #include "check/audit_visitor.h"
 #include "common/check.h"
 
@@ -9,118 +11,95 @@ PartialSubblockTlb::PartialSubblockTlb(unsigned num_entries, unsigned subblock_f
     : Tlb(num_entries),
       factor_(subblock_factor),
       block_log2_(Log2(subblock_factor)),
-      entries_(num_entries) {
+      store_(num_entries, EntryStore::FillOrder::kLastInvalid),
+      payloads_(num_entries) {
   CPT_CHECK(IsPowerOfTwo(subblock_factor) && subblock_factor <= 16,
             "PSB valid vectors hold at most 16 bits");
 }
 
-bool PartialSubblockTlb::Covers(const Entry& e, Asid asid, Vpn vpn) const {
-  if (!e.valid || e.asid != asid) {
-    return false;
-  }
-  if (!e.block_entry) {
-    return e.single_vpn == vpn;
-  }
-  if (VpbnOf(vpn, factor_) != e.vpbn) {
-    return false;
-  }
-  return (e.vector >> BoffOf(vpn, factor_)) & 1u;
-}
-
 LookupOutcome PartialSubblockTlb::Lookup(Asid asid, Vpn vpn) {
-  for (Entry& e : entries_) {
-    if (Covers(e, asid, vpn)) {
-      e.stamp = NextStamp();
-      RecordHit();
-      if (e.block_entry) {
-        ++psb_hits_;
-      }
-      return LookupOutcome::kHit;
+  // A block entry covers the page only if its valid bit is set; otherwise
+  // a single-page entry may still cover it.  Both covering: lowest slot.
+  std::uint32_t slot = EntryStore::kNone;
+  const std::uint32_t forms = store_.forms();
+  if ((forms >> kBlockForm) & 1u) {
+    const std::uint32_t block =
+        store_.Find(EntryStore::MakeKey(asid, kBlockForm, VpbnOf(vpn, factor_).raw()));
+    if (block != EntryStore::kNone && ((payloads_[block].vector >> BoffOf(vpn, factor_)) & 1u)) {
+      slot = block;
     }
   }
-  RecordMiss(LookupOutcome::kMiss);
-  return LookupOutcome::kMiss;
+  if ((forms >> kSingleForm) & 1u) {
+    slot = std::min(slot, store_.Find(EntryStore::MakeKey(asid, kSingleForm, vpn.raw())));
+  }
+  if (slot == EntryStore::kNone) {
+    RecordMiss(LookupOutcome::kMiss);
+    return LookupOutcome::kMiss;
+  }
+  store_.set_stamp(slot, NextStamp());
+  RecordHit();
+  if (store_.form(slot) == kBlockForm) {
+    ++psb_hits_;
+  }
+  return LookupOutcome::kHit;
 }
 
 void PartialSubblockTlb::Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
-  Entry incoming;
-  incoming.asid = asid;
-  incoming.valid = true;
+  // Block form for PSB fills and block-sized superpages (an all-valid
+  // vector); other fills map only the faulting page.
+  EntryStore::Key key = EntryStore::MakeKey(asid, kSingleForm, vpn.raw());
+  Payload payload;
   switch (fill.kind) {
     case MappingKind::kPartialSubblock:
-      incoming.block_entry = true;
-      incoming.vpbn = VpbnOf(fill.base_vpn, factor_);
-      incoming.block_ppn = fill.word.ppn();
-      incoming.vector = fill.word.valid_vector();
+      key = EntryStore::MakeKey(asid, kBlockForm, VpbnOf(fill.base_vpn, factor_).raw());
+      payload = Payload{fill.word.ppn(), fill.word.valid_vector()};
       break;
     case MappingKind::kSuperpage:
       if (fill.pages_log2 == block_log2_) {
-        // A block-sized superpage is an all-valid partial-subblock entry.
-        incoming.block_entry = true;
-        incoming.vpbn = VpbnOf(fill.base_vpn, factor_);
-        incoming.block_ppn = fill.word.ppn();
-        incoming.vector =
-            factor_ >= 16 ? std::uint16_t{0xFFFF} : static_cast<std::uint16_t>((1u << factor_) - 1);
+        key = EntryStore::MakeKey(asid, kBlockForm, VpbnOf(fill.base_vpn, factor_).raw());
+        payload = Payload{fill.word.ppn(), factor_ >= 16 ? std::uint16_t{0xFFFF}
+                                                         : static_cast<std::uint16_t>(
+                                                               (1u << factor_) - 1)};
       } else {
-        // Other sizes don't fit this entry format: map the faulting page.
-        incoming.block_entry = false;
-        incoming.single_vpn = vpn;
-        incoming.single_ppn = fill.Translate(vpn);
+        payload.ppn = fill.Translate(vpn);
       }
       break;
     case MappingKind::kBase:
-      incoming.block_entry = false;
-      incoming.single_vpn = vpn;
-      incoming.single_ppn = fill.Translate(vpn);
+      payload.ppn = fill.Translate(vpn);
       break;
   }
-
-  Entry* victim = &entries_[0];
-  for (Entry& e : entries_) {
-    const bool same_slot =
-        e.valid && e.asid == asid && e.block_entry == incoming.block_entry &&
-        (incoming.block_entry ? e.vpbn == incoming.vpbn : e.single_vpn == incoming.single_vpn);
-    if (same_slot) {
-      victim = &e;  // Refresh (e.g. the PSB vector grew a bit).
-      break;
-    }
-    if (!e.valid) {
-      victim = &e;
-    } else if (victim->valid && e.stamp < victim->stamp) {
-      victim = &e;
-    }
+  // A resident key refreshes in place (e.g. the PSB vector grew a bit).
+  std::uint32_t slot = store_.Find(key);
+  if (slot == EntryStore::kNone) {
+    slot = store_.Claim(key);
   }
-  incoming.stamp = NextStamp();
-  *victim = incoming;
+  payloads_[slot] = payload;
+  store_.set_stamp(slot, NextStamp());
 }
 
-void PartialSubblockTlb::Flush() {
-  for (Entry& e : entries_) {
-    e.valid = false;
-  }
-}
+void PartialSubblockTlb::Flush() { store_.Flush(); }
 
 void PartialSubblockTlb::AuditVisit(check::TlbAuditVisitor& visitor) const {
-  for (const Entry& e : entries_) {
+  for (std::uint32_t slot = 0; slot < store_.size(); ++slot) {
     check::TlbEntryView view;
     view.set = 0;
-    view.valid = e.valid;
-    view.asid = e.asid;
-    view.stamp = e.stamp;
-    view.block_entry = e.block_entry;
-    if (e.block_entry) {
-      view.base_vpn = FirstVpnOfBlock(e.vpbn, factor_);
-      view.base_ppn = e.block_ppn;
+    view.valid = store_.valid(slot);
+    view.asid = store_.asid(slot);
+    view.stamp = store_.stamp(slot);
+    view.block_entry = store_.form(slot) == kBlockForm;
+    view.base_ppn = payloads_[slot].ppn;
+    if (view.block_entry) {
+      view.base_vpn = FirstVpnOfBlock(Vpbn{store_.tag(slot)}, factor_);
       view.pages_log2 = block_log2_;
-      view.valid_vector = e.vector;
+      view.valid_vector = payloads_[slot].vector;
     } else {
-      view.base_vpn = e.single_vpn;
-      view.base_ppn = e.single_ppn;
+      view.base_vpn = Vpn{store_.tag(slot)};
       view.pages_log2 = 0;
       view.valid_vector = 1;
     }
     visitor.OnEntry(view);
   }
+  store_.AuditIndex(visitor);
 }
 
 }  // namespace cpt::tlb

@@ -12,6 +12,7 @@
 
 #include "check/fwd.h"
 #include "common/hotpath.h"
+#include "tlb/entry_store.h"
 #include "tlb/tlb.h"
 
 namespace cpt::tlb {
@@ -37,26 +38,22 @@ class PartialSubblockTlb final : public Tlb {
  private:
   friend class check::TestBackdoor;
 
-  struct Entry {
-    Asid asid = 0;
-    Vpbn vpbn{};
-    Ppn block_ppn{};            // Block-aligned when vector-mapped.
-    std::uint16_t vector = 0;     // Valid bits; single-page entries set one.
-    bool block_entry = false;     // True: PSB/superpage form; false: one page.
-    Vpn single_vpn{};           // Valid when !block_entry.
-    Ppn single_ppn{};
-    bool valid = false;
-    std::uint64_t stamp = 0;
-  };
-  // Host layout pin (DESIGN.md "Layout pins"):
-  // exactly one 64-byte host cache line per entry.
-  static_assert(sizeof(Entry) == 64 && alignof(Entry) == 8);
+  // Entry forms: a single page (tag: the VPN) or a vector-mapped block
+  // (tag: the VPBN).
+  static constexpr unsigned kSingleForm = 0;
+  static constexpr unsigned kBlockForm = 1;
 
-  bool Covers(const Entry& e, Asid asid, Vpn vpn) const;
+  struct Payload {
+    Ppn ppn{};                 // Block-aligned for a block entry.
+    std::uint16_t vector = 0;  // Valid bits of a block entry.
+  };
+  // Host layout pin (DESIGN.md "Layout pins").
+  static_assert(sizeof(Payload) == 16 && alignof(Payload) == 8);
 
   unsigned factor_;
   unsigned block_log2_;
-  std::vector<Entry> entries_;
+  EntryStore store_;
+  std::vector<Payload> payloads_;
   std::uint64_t psb_hits_ = 0;
 };
 

@@ -8,6 +8,7 @@
 
 #include "check/fwd.h"
 #include "common/hotpath.h"
+#include "tlb/entry_store.h"
 #include "tlb/tlb.h"
 
 namespace cpt::tlb {
@@ -27,17 +28,12 @@ class SinglePageTlb final : public Tlb {
  private:
   friend class check::TestBackdoor;
 
-  struct Entry {
-    Asid asid = 0;
-    Vpn vpn{};
-    Ppn ppn{};
-    bool valid = false;
-    std::uint64_t stamp = 0;
-  };
-  // Host layout pin (DESIGN.md "Layout pins").
-  static_assert(sizeof(Entry) == 40 && alignof(Entry) == 8);
+  static EntryStore::Key KeyOf(Asid asid, Vpn vpn) {
+    return EntryStore::MakeKey(asid, 0, vpn.raw());
+  }
 
-  std::vector<Entry> entries_;
+  EntryStore store_;  // Tag: the VPN.
+  std::vector<Ppn> ppns_;
 };
 
 }  // namespace cpt::tlb

@@ -9,6 +9,7 @@
 
 #include "check/fwd.h"
 #include "common/hotpath.h"
+#include "tlb/entry_store.h"
 #include "tlb/tlb.h"
 
 namespace cpt::tlb {
@@ -34,18 +35,9 @@ class SuperpageTlb final : public Tlb {
  private:
   friend class check::TestBackdoor;
 
-  struct Entry {
-    Asid asid = 0;
-    Vpn base_vpn{};
-    Ppn base_ppn{};
-    unsigned pages_log2 = 0;
-    bool valid = false;
-    std::uint64_t stamp = 0;
-  };
-  // Host layout pin (DESIGN.md "Layout pins").
-  static_assert(sizeof(Entry) == 40 && alignof(Entry) == 8);
-
-  std::vector<Entry> entries_;
+  // Form: the page size's log2.  Tag: the size-aligned base VPN.
+  EntryStore store_;
+  std::vector<Ppn> base_ppns_;
   std::uint64_t super_hits_ = 0;
 };
 

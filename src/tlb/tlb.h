@@ -10,12 +10,15 @@
 //
 // All are asid-tagged so multiprogrammed workloads share one TLB without
 // flushes.  TLBs translate via pt::TlbFill payloads produced by page tables.
+// The four keep their entries in one shared store with a tag index
+// (tlb/entry_store.h).
 #ifndef CPT_TLB_TLB_H_
 #define CPT_TLB_TLB_H_
 
 #include <cstdint>
 #include <string>
 
+#include "common/check.h"
 #include "common/hotpath.h"
 #include "common/types.h"
 #include "pt/page_table.h"
@@ -47,7 +50,9 @@ struct TlbStats {
 
 class Tlb {
  public:
-  explicit Tlb(unsigned num_entries) : num_entries_(num_entries) {}
+  explicit Tlb(unsigned num_entries) : num_entries_(num_entries) {
+    CPT_CHECK(num_entries >= 1, "a TLB needs at least one entry");
+  }
   virtual ~Tlb() = default;
   Tlb(const Tlb&) = delete;
   Tlb& operator=(const Tlb&) = delete;

@@ -6,8 +6,8 @@
 //      AuditReport.
 //   2. Corrupted structures audit dirty — check::TestBackdoor breaks one
 //      invariant at a time (misaligned tag, duplicated base-page coverage,
-//      hash-chain cycle, inconsistent reservation masks, mis-placed grant)
-//      and the auditor must name the defect.  Without these tests a
+//      hash-chain cycle, inconsistent reservation masks, mis-placed grant,
+//      lost TLB tag-index link) and the auditor must name the defect.  Without these tests a
 //      vacuously-green auditor would be indistinguishable from a working
 //      one.
 #include <gtest/gtest.h>
@@ -27,7 +27,11 @@
 #include "pt/multi_hashed.h"
 #include "sim/experiments.h"
 #include "sim/machine.h"
+#include "tlb/complete_subblock.h"
 #include "tlb/dual_size_setassoc.h"
+#include "tlb/partial_subblock.h"
+#include "tlb/single_page.h"
+#include "tlb/superpage.h"
 #include "workload/workload.h"
 
 namespace cpt::check {
@@ -251,6 +255,37 @@ TEST(CorruptionTest, MisplacedGrantIsDetected) {
   EXPECT_NE(r.Summary().find("claims proper placement"), std::string::npos) << r.Summary();
 }
 
+// Fills a TLB with eight entries, drops one tag-index link, and returns the
+// auditor's report.
+template <typename IndexedTlb>
+AuditReport AuditAfterDroppedIndexLink(IndexedTlb& tlb) {
+  for (unsigned i = 0; i < 8; ++i) {
+    const Vpn vpn{0x10000 + 0x100 * i};
+    tlb.Insert(0, vpn,
+               pt::TlbFill{.kind = MappingKind::kBase,
+                           .base_vpn = vpn,
+                           .pages_log2 = 0,
+                           .word = MappingWord::Base(Ppn{50 + i}, Attr::ReadWrite())});
+  }
+  EXPECT_TRUE(StructuralAuditor::AuditTlb(tlb).ok()) << StructuralAuditor::AuditTlb(tlb).Summary();
+  EXPECT_TRUE(TestBackdoor::DropTlbIndexLink(tlb));
+  return StructuralAuditor::AuditTlb(tlb);
+}
+
+TEST(CorruptionTest, LostTlbIndexLinkIsDetected) {
+  tlb::SinglePageTlb single(16);
+  tlb::SuperpageTlb super(16);
+  tlb::PartialSubblockTlb psb(16, 16);
+  tlb::CompleteSubblockTlb csb(16, 16);
+  for (const AuditReport& r :
+       {AuditAfterDroppedIndexLink(single), AuditAfterDroppedIndexLink(super),
+        AuditAfterDroppedIndexLink(psb), AuditAfterDroppedIndexLink(csb)}) {
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.Summary().find("not reachable through the tag index"), std::string::npos)
+        << r.Summary();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Shadow-map differential oracle.
 // ---------------------------------------------------------------------------
@@ -309,6 +344,13 @@ TEST(ShadowOracleTest, CatchesWrongTranslation) {
 
 TEST(CheckMacroDeathTest, FailedCheckAborts) {
   EXPECT_DEATH(CPT_CHECK(1 + 1 == 3, "arithmetic is broken"), "CPT_CHECK failed");
+}
+
+TEST(CheckMacroDeathTest, ZeroEntryTlbIsRejected) {
+  EXPECT_DEATH(tlb::SinglePageTlb(0), "a TLB needs at least one entry");
+  EXPECT_DEATH(tlb::SuperpageTlb(0), "a TLB needs at least one entry");
+  EXPECT_DEATH(tlb::PartialSubblockTlb(0, 16), "a TLB needs at least one entry");
+  EXPECT_DEATH(tlb::CompleteSubblockTlb(0, 16), "a TLB needs at least one entry");
 }
 
 TEST(CheckMacroDeathTest, FailedDcheckAbortsWhenEnabled) {

@@ -1,8 +1,13 @@
 // Tests for the four TLB simulators: hit/miss semantics, LRU replacement,
 // asid isolation, superpage coverage, PSB vectors, and complete-subblock
-// block/subblock miss classification with prefetch.
+// block/subblock miss classification with prefetch.  The slot-order cases
+// at the end pin the rules that decide LRU order (lowest-slot hit, fill
+// order, in-place refresh), observed through AuditVisit.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "check/audit_visitor.h"
 #include "common/rng.h"
 #include "tlb/complete_subblock.h"
 #include "tlb/partial_subblock.h"
@@ -292,6 +297,190 @@ TEST(TlbPropertyTest, LruInclusionAcrossSizes) {
     }
   }
   EXPECT_LE(big.stats().misses, small.stats().misses);
+}
+
+// ---------------------------------------------------------------------------
+// Slot order: which entry hits, which slot a fill takes, what a re-insert
+// refreshes.  These rules decide the LRU order and so every miss count.
+// ---------------------------------------------------------------------------
+
+class ViewCollector final : public check::TlbAuditVisitor {
+ public:
+  void OnEntry(const check::TlbEntryView& entry) override { views.push_back(entry); }
+  std::vector<check::TlbEntryView> views;
+};
+
+template <typename T>
+std::vector<check::TlbEntryView> Views(const T& tlb) {
+  ViewCollector c;
+  tlb.AuditVisit(c);
+  return c.views;
+}
+
+std::vector<bool> ValidSlots(const std::vector<check::TlbEntryView>& views) {
+  std::vector<bool> valid;
+  for (const check::TlbEntryView& v : views) {
+    valid.push_back(v.valid);
+  }
+  return valid;
+}
+
+TEST(TlbSlotOrderTest, OverlapRefreshesLowestSlotWhichSurvivesEviction) {
+  SuperpageTlb tlb(3);
+  tlb.Insert(0, Vpn{0x4000}, SuperFill(Vpn{0x4000}, Ppn{0x100}, kPage64K));  // Slot 2.
+  tlb.Insert(0, Vpn{0x4003}, BaseFill(Vpn{0x4003}, Ppn{0x7}));               // Slot 1.
+  // Both entries cover 0x4003: the base entry, in the lower slot, hits.
+  EXPECT_EQ(tlb.Lookup(0, Vpn{0x4003}), LookupOutcome::kHit);
+  EXPECT_EQ(tlb.SuperpageHitFraction(), 0.0);
+  auto views = Views(tlb);
+  EXPECT_EQ(views[1].base_vpn, Vpn{0x4003});
+  EXPECT_EQ(views[1].stamp, 3u);
+  EXPECT_EQ(views[2].pages_log2, 4u);
+  EXPECT_EQ(views[2].stamp, 1u);
+
+  tlb.Insert(0, Vpn{0x9000}, BaseFill(Vpn{0x9000}, Ppn{0x8}));  // Slot 0; now full.
+  tlb.Insert(0, Vpn{0xA000}, BaseFill(Vpn{0xA000}, Ppn{0x9}));  // Evicts the superpage.
+  views = Views(tlb);
+  EXPECT_EQ(views[2].base_vpn, Vpn{0xA000});
+  EXPECT_EQ(views[2].pages_log2, 0u);
+  EXPECT_EQ(tlb.Lookup(0, Vpn{0x4005}), LookupOutcome::kMiss);
+  EXPECT_EQ(tlb.Lookup(0, Vpn{0x4003}), LookupOutcome::kHit);
+}
+
+TEST(TlbSlotOrderTest, OverlapInLowerSuperpageSlotCountsSuperpageHit) {
+  SuperpageTlb tlb(3);
+  tlb.Insert(0, Vpn{0x4003}, BaseFill(Vpn{0x4003}, Ppn{0x7}));               // Slot 2.
+  tlb.Insert(0, Vpn{0x4000}, SuperFill(Vpn{0x4000}, Ppn{0x100}, kPage64K));  // Slot 1.
+  EXPECT_EQ(tlb.Lookup(0, Vpn{0x4003}), LookupOutcome::kHit);
+  EXPECT_EQ(tlb.SuperpageHitFraction(), 1.0);
+  const auto views = Views(tlb);
+  EXPECT_EQ(views[1].stamp, 3u);
+  EXPECT_EQ(views[2].stamp, 1u);
+}
+
+TEST(TlbSlotOrderTest, ClearVectorBitFallsThroughToSingleEntry) {
+  PartialSubblockTlb tlb(4, 16);
+  tlb.Insert(0, Vpn{0x8003}, BaseFill(Vpn{0x8003}, Ppn{0x123}));        // Slot 3.
+  tlb.Insert(0, Vpn{0x8000}, PsbFill(Vpn{0x8000}, Ppn{0x40}, 0x0001));  // Slot 2.
+  // The block entry sits in the lower slot but its bit 3 is clear.
+  EXPECT_EQ(tlb.Lookup(0, Vpn{0x8003}), LookupOutcome::kHit);
+  EXPECT_EQ(tlb.SubblockHitFraction(), 0.0);
+  auto views = Views(tlb);
+  EXPECT_FALSE(views[3].block_entry);
+  EXPECT_EQ(views[3].stamp, 3u);
+  EXPECT_EQ(views[2].stamp, 2u);
+
+  // With the bit set, the lower-slot block entry wins over the single one.
+  tlb.Insert(0, Vpn{0x8003}, PsbFill(Vpn{0x8000}, Ppn{0x40}, 0x0009));  // Refresh, slot 2.
+  EXPECT_EQ(tlb.Lookup(0, Vpn{0x8003}), LookupOutcome::kHit);
+  EXPECT_EQ(tlb.SubblockHitFraction(), 0.5);
+  views = Views(tlb);
+  EXPECT_TRUE(views[2].block_entry);
+  EXPECT_EQ(views[2].stamp, 5u);
+  EXPECT_EQ(views[3].stamp, 3u);
+}
+
+template <typename T>
+void ExpectLastInvalidFillOrder(T& tlb) {
+  tlb.Insert(0, Vpn{0x1000}, BaseFill(Vpn{0x1000}, Ppn{1}));
+  tlb.Insert(0, Vpn{0x2000}, BaseFill(Vpn{0x2000}, Ppn{2}));
+  tlb.Insert(0, Vpn{0x3000}, BaseFill(Vpn{0x3000}, Ppn{3}));
+  auto views = Views(tlb);
+  EXPECT_EQ(ValidSlots(views), (std::vector<bool>{false, true, true, true}));
+  EXPECT_EQ(views[3].base_vpn, Vpn{0x1000});
+  EXPECT_EQ(views[2].base_vpn, Vpn{0x2000});
+  EXPECT_EQ(views[1].base_vpn, Vpn{0x3000});
+
+  tlb.Flush();
+  views = Views(tlb);
+  EXPECT_EQ(ValidSlots(views), (std::vector<bool>{false, false, false, false}));
+  EXPECT_EQ(views[3].base_vpn, Vpn{0x1000}) << "flush keeps the stale entry";
+  tlb.Insert(0, Vpn{0x4000}, BaseFill(Vpn{0x4000}, Ppn{4}));
+  views = Views(tlb);
+  EXPECT_EQ(ValidSlots(views), (std::vector<bool>{false, false, false, true}));
+  EXPECT_EQ(views[3].base_vpn, Vpn{0x4000});
+  EXPECT_EQ(views[1].base_vpn, Vpn{0x3000});
+}
+
+TEST(TlbSlotOrderTest, SinglePageFillsLastInvalidSlotFirst) {
+  SinglePageTlb tlb(4);
+  ExpectLastInvalidFillOrder(tlb);
+}
+
+TEST(TlbSlotOrderTest, SuperpageFillsLastInvalidSlotFirst) {
+  SuperpageTlb tlb(4);
+  ExpectLastInvalidFillOrder(tlb);
+}
+
+TEST(TlbSlotOrderTest, PartialSubblockFillsLastInvalidSlotFirst) {
+  PartialSubblockTlb tlb(4, 16);
+  ExpectLastInvalidFillOrder(tlb);
+}
+
+TEST(TlbSlotOrderTest, CompleteSubblockFillsFirstInvalidSlotFirst) {
+  CompleteSubblockTlb tlb(4, 16);
+  tlb.Insert(0, Vpn{0x1000}, BaseFill(Vpn{0x1000}, Ppn{1}));
+  tlb.Insert(0, Vpn{0x2000}, BaseFill(Vpn{0x2000}, Ppn{2}));
+  tlb.Insert(0, Vpn{0x3000}, BaseFill(Vpn{0x3000}, Ppn{3}));
+  auto views = Views(tlb);
+  EXPECT_EQ(ValidSlots(views), (std::vector<bool>{true, true, true, false}));
+  EXPECT_EQ(views[0].base_vpn, Vpn{0x1000});
+  EXPECT_EQ(views[2].base_vpn, Vpn{0x3000});
+  // A block miss allocates (stamp 1), then the fill refreshes (stamp 2).
+  EXPECT_EQ(views[0].stamp, 2u);
+
+  tlb.Flush();
+  tlb.Insert(0, Vpn{0x4000}, BaseFill(Vpn{0x4000}, Ppn{4}));
+  views = Views(tlb);
+  EXPECT_EQ(ValidSlots(views), (std::vector<bool>{true, false, false, false}));
+  EXPECT_EQ(views[0].base_vpn, Vpn{0x4000});
+  EXPECT_EQ(views[0].valid_vector, 1u) << "allocation clears the old vector";
+  EXPECT_EQ(views[2].base_vpn, Vpn{0x3000});
+}
+
+template <typename T>
+void ExpectReinsertRefreshesInPlace(T& tlb, const pt::TlbFill& first, const pt::TlbFill& again,
+                                    Vpn vpn) {
+  tlb.Insert(0, vpn, first);
+  tlb.Insert(0, Vpn{0x9000}, BaseFill(Vpn{0x9000}, Ppn{0x9}));
+  tlb.Insert(0, vpn, again);
+  const auto views = Views(tlb);
+  EXPECT_EQ(ValidSlots(views), (std::vector<bool>{false, false, true, true}))
+      << "re-insert must not duplicate";
+  EXPECT_EQ(views[3].stamp, 3u) << "re-insert refreshes the original slot";
+  EXPECT_EQ(views[3].base_ppn, again.word.ppn());
+}
+
+TEST(TlbSlotOrderTest, ReinsertRefreshesInPlace) {
+  {
+    SinglePageTlb tlb(4);
+    ExpectReinsertRefreshesInPlace(tlb, BaseFill(Vpn{0x100}, Ppn{1}),
+                                   BaseFill(Vpn{0x100}, Ppn{5}), Vpn{0x100});
+  }
+  {
+    SuperpageTlb tlb(4);
+    ExpectReinsertRefreshesInPlace(tlb, SuperFill(Vpn{0x4000}, Ppn{0x100}, kPage64K),
+                                   SuperFill(Vpn{0x4000}, Ppn{0x200}, kPage64K), Vpn{0x4002});
+  }
+  {
+    PartialSubblockTlb tlb(4, 16);
+    ExpectReinsertRefreshesInPlace(tlb, PsbFill(Vpn{0x8000}, Ppn{0x40}, 0x0001),
+                                   PsbFill(Vpn{0x8000}, Ppn{0x40}, 0x0003), Vpn{0x8000});
+    EXPECT_EQ(Views(tlb)[3].valid_vector, 0x0003u);
+  }
+}
+
+TEST(TlbSlotOrderTest, CompleteSubblockReinsertExtendsTheBlockInPlace) {
+  CompleteSubblockTlb tlb(4, 16);
+  tlb.Insert(0, Vpn{0x8000}, BaseFill(Vpn{0x8000}, Ppn{1}));
+  tlb.Insert(0, Vpn{0x9000}, BaseFill(Vpn{0x9000}, Ppn{2}));
+  tlb.Insert(0, Vpn{0x8001}, BaseFill(Vpn{0x8001}, Ppn{3}));
+  const auto views = Views(tlb);
+  EXPECT_EQ(ValidSlots(views), (std::vector<bool>{true, true, false, false}));
+  EXPECT_EQ(views[0].valid_vector, 0x3u);
+  EXPECT_EQ(views[0].stamp, 5u);
+  ASSERT_EQ(views[0].translations.size(), 2u);
+  EXPECT_EQ(views[0].translations[1].second, Ppn{3});
 }
 
 }  // namespace

@@ -9,16 +9,10 @@
 #include <cstdlib>
 #include <new>
 
-#if !defined(NDEBUG) && !defined(CPT_NO_HOTGUARD)
-#define CPT_HOTGUARD_ARMED 1
-#else
-#define CPT_HOTGUARD_ARMED 0
-#endif
-
 namespace cpt {
 namespace {
 
-#if CPT_HOTGUARD_ARMED
+#ifndef NDEBUG
 // Depth of nested scopes on this thread and the innermost site label.
 // Plain thread_local ints: the operator-new replacements below read them
 // on every allocation program-wide, so this must stay branch-cheap.
@@ -62,11 +56,11 @@ void* GuardedAllocAligned(std::size_t size, std::size_t align, const char* what)
   }
   return p;
 }
-#endif  // CPT_HOTGUARD_ARMED
+#endif  // NDEBUG
 
 }  // namespace
 
-#if CPT_HOTGUARD_ARMED
+#ifndef NDEBUG
 
 HotPathScope::HotPathScope(const char* site) : site_(g_hot_site) {
   // site_ saves the enclosing scope's label so nesting restores correctly.
@@ -81,17 +75,17 @@ HotPathScope::~HotPathScope() {
 
 bool HotPathScope::ActiveOnThisThread() { return g_hot_depth > 0; }
 
-#else  // !CPT_HOTGUARD_ARMED
+#else  // NDEBUG
 
 HotPathScope::HotPathScope(const char* site) : site_(site) {}
 HotPathScope::~HotPathScope() = default;
 bool HotPathScope::ActiveOnThisThread() { return false; }
 
-#endif  // CPT_HOTGUARD_ARMED
+#endif  // NDEBUG
 
 }  // namespace cpt
 
-#if CPT_HOTGUARD_ARMED
+#ifndef NDEBUG
 
 // Replacement global allocation functions.  [new.delete.single] requires
 // plain operator new to throw on failure and the nothrow variants to return
@@ -132,4 +126,4 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
-#endif  // CPT_HOTGUARD_ARMED
+#endif  // NDEBUG

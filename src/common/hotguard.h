@@ -1,15 +1,14 @@
 // Runtime allocation guard for the steady-state replay loop.
 //
-// cpt::HotPathScope is the dynamic half of the hot-path discipline whose
-// static half is cpt_lint.py's hot-no-alloc rule (see common/hotpath.h and
-// DESIGN.md "Hot-path discipline").  While a scope is live on a thread,
-// any heap allocation on that thread — operator new, new[], their aligned
-// and nothrow variants — is a hard CPT_CHECK-style failure naming the
-// scope's site string.  The static rule proves no *reachable statement*
-// allocates; the scope proves no *executed* allocation happened on a real
-// replay, catching what the heuristic call graph cannot see (indirect
-// calls through std function objects, resize hiding inside a library
-// call, a path the lint boundary pruned too generously).
+// While a cpt::HotPathScope is live on a thread, any heap allocation on
+// that thread — operator new, new[], their aligned and nothrow variants —
+// is a hard CPT_CHECK-style failure naming the scope's site string.  This
+// is the project's one check that the per-reference path (Machine::Access:
+// TLB probe, page-table walk, cache-line accounting) does not allocate:
+// tests/hotguard_test.cc replays every configuration Machine accepts under
+// a scope.  It sees what a reading of the source cannot (resize hiding
+// inside a library call, capacity that a first refill still has to grow)
+// and says nothing about code a replay does not execute.
 //
 // Mechanism: linking this translation unit (pulled in automatically by
 // any binary that constructs a HotPathScope) replaces the global operator
@@ -18,9 +17,9 @@
 // single thread-local load on top of malloc; sanitizers still intercept
 // the underlying malloc/free, so ASan/LSan/TSan coverage is unchanged.
 //
-// The guard compiles to a no-op under NDEBUG or -DCPT_NO_HOTGUARD (this
-// repo strips NDEBUG on purpose — see common/check.h — so in practice it
-// is always armed).  Scopes nest; the guard trips while any is live.
+// The guard compiles to a no-op under NDEBUG (this repo strips NDEBUG on
+// purpose — see common/check.h — so in practice it is always armed).
+// Scopes nest; the guard trips while any is live.
 //
 // Usage:
 //   cpt::HotPathScope guard("steady_state_replay");

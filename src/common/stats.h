@@ -71,18 +71,17 @@ class Histogram {
       return;
     }
     if (value >= counts_.size()) {
-      // Within capacity after Reserve() this is a size bump, not an
-      // allocation; growth is clamped at max_buckets_ either way.
-      counts_.resize(value + 1, 0);  // cpt-lint: allow(hot-no-alloc)
+      // Below the Reserve()d size this is a size bump, not an allocation;
+      // growth is clamped at max_buckets_ either way.
+      counts_.resize(value + 1, 0);
     }
     ++counts_[value];
     max_seen_ = std::max(max_seen_, value);
   }
 
-  // Pre-allocates bucket storage for values below `n`, so steady-state
-  // Add() calls stay off the heap (hot-path discipline: the per-walk
-  // histogram in mem/cache_model.h is fed from inside counted walks, under
-  // cpt::HotPathScope in tests).  Semantics are untouched — buckets still
+  // Pre-allocates bucket storage for values below `n`, so Add() of such
+  // values stays off the heap (the per-walk histogram in mem/cache_model.h
+  // is fed once per counted walk).  Semantics are untouched: buckets still
   // materialize lazily via resize, but within reserved capacity.
   void Reserve(std::size_t n) { counts_.reserve(std::min(n, max_buckets_)); }
 

@@ -22,8 +22,8 @@ AdaptiveClusteredPageTable::AdaptiveClusteredPageTable(mem::CacheTouchModel& cac
   CPT_CHECK(opts.demote_occupancy < opts.promote_occupancy);
   bucket_stride_ = std::bit_ceil(std::uint64_t{24});
   bucket_base_ = alloc_.Allocate(std::uint64_t{opts_.num_buckets} * bucket_stride_);
-  // Hot-path hygiene: UnlinkNode recycles through this free list during
-  // reclustering, so give it slack up front (common/hotpath.h discipline).
+  // UnlinkNode recycles through this free list during reclustering, so
+  // give it slack up front: the replay steady state must not allocate.
   free_nodes_.reserve(64);
 }
 
@@ -65,7 +65,6 @@ std::int32_t AdaptiveClusteredPageTable::AllocNode(Vpbn tag, NodeKind kind, unsi
   } else {
     // Grows only when an insert needs a node no free-list slot can supply;
     // the replay steady state inserts nothing (HotPathScope-checked).
-    // cpt-lint: allow(hot-no-alloc)
     arena_.push_back(Node{});
     idx = static_cast<std::int32_t>(arena_.size() - 1);
   }

@@ -96,7 +96,6 @@ ClusteredPageTable::Node& ClusteredPageTable::GetOrCreateNode(Vpbn tag, unsigned
   } else {
     // Grows only when an insert needs a node no free-list slot can supply;
     // the replay steady state inserts nothing (HotPathScope-checked).
-    // cpt-lint: allow(hot-no-alloc)
     arena_.push_back(Node{});
     idx = static_cast<std::int32_t>(arena_.size() - 1);
   }

@@ -29,7 +29,6 @@
 
 #include "check/fwd.h"
 #include "common/hash.h"
-#include "common/hotpath.h"
 #include "common/stats.h"
 #include "mem/sim_alloc.h"
 #include "pt/page_table.h"
@@ -51,9 +50,8 @@ class ClusteredPageTable final : public pt::PageTable {
   ~ClusteredPageTable() override;
 
   // ---- PageTable interface ----
-  [[nodiscard]] CPT_HOT std::optional<pt::TlbFill> Lookup(VirtAddr va) override;
-  CPT_HOT void LookupBlock(VirtAddr va, unsigned subblock_factor,
-                           std::vector<pt::TlbFill>& out) override;
+  [[nodiscard]] std::optional<pt::TlbFill> Lookup(VirtAddr va) override;
+  void LookupBlock(VirtAddr va, unsigned subblock_factor, std::vector<pt::TlbFill>& out) override;
   void InsertBase(Vpn vpn, Ppn ppn, Attr attr) override;
   bool RemoveBase(Vpn vpn) override;
   pt::PtFeatures features() const override {
@@ -64,8 +62,7 @@ class ClusteredPageTable final : public pt::PageTable {
   void UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor, Ppn block_base_ppn,
                              Attr attr, std::uint16_t valid_vector) override;
   bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
+  bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   std::uint64_t SizeBytesPaperModel() const override;
   std::uint64_t SizeBytesActual() const override;

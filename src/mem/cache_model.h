@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/hotpath.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "obs/trace.h"
@@ -36,20 +35,20 @@ class CacheTouchModel {
   bool in_walk() const { return in_walk_; }
 
   // Starts accounting for one page-table walk (one TLB miss service).
-  CPT_HOT void BeginWalk();
+  void BeginWalk();
 
   // Records a read of [addr, addr + size) in simulated physical memory.
-  CPT_HOT void Touch(PhysAddr addr, std::uint64_t size);
+  void Touch(PhysAddr addr, std::uint64_t size);
 
   // Distinct lines touched since BeginWalk().
-  CPT_HOT unsigned LinesThisWalk() const { return static_cast<unsigned>(walk_lines_.size()); }
+  unsigned LinesThisWalk() const { return static_cast<unsigned>(walk_lines_.size()); }
 
   // Finishes the walk, folding its line count into the totals.
-  CPT_HOT void EndWalk();
+  void EndWalk();
 
   // Discards the current walk without counting it (used when a walk turns
   // out to be a page fault, which is OS work rather than TLB-miss service).
-  CPT_HOT void AbortWalk() {
+  void AbortWalk() {
     if (tracer_ != nullptr && in_walk_) {
       tracer_->Record({.kind = obs::EventKind::kWalkAbort});
     }

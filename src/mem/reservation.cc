@@ -53,10 +53,7 @@ std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
     grp.used_mask = 1u << boff;
     by_owner_.emplace(block_key, g);
     // Fault path only: frames are granted while faulting, which Preload()
-    // front-loads; the replay steady state never reaches here.  (The hot
-    // traversal sees this through same-name resolution with the PTE-node
-    // allocator, not through a real hot call chain.)
-    // cpt-lint: allow(hot-no-alloc)
+    // front-loads; the replay steady state never reaches here.
     reservation_fifo_.push_back(g);
     ++reservations_made_;
     ++frames_used_;
@@ -120,7 +117,6 @@ bool ReservationAllocator::BreakOneReservation() {
     for (unsigned slot = 0; slot < factor_; ++slot) {
       if ((grp.used_mask & (1u << slot)) == 0) {
         // Fault path only (see Allocate); never on the replay steady state.
-        // cpt-lint: allow(hot-no-alloc)
         fragment_pool_.push_back(FrameAt(g, slot));
       }
     }
@@ -150,7 +146,6 @@ void ReservationAllocator::Free(Ppn ppn) {
       free_groups_.push_back(g);
     } else {
       // Unmap/teardown path only; never on the replay steady state.
-      // cpt-lint: allow(hot-no-alloc)
       fragment_pool_.push_back(ppn);
     }
   } else if (grp.state == GroupState::kReserved && grp.used_mask == 0) {

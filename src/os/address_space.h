@@ -26,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/hotpath.h"
 #include "common/pte.h"
 #include "common/types.h"
 #include "mem/reservation.h"
@@ -77,11 +76,10 @@ class AddressSpace {
   // Demand-fault entry point: makes va's page resident and mapped.
   // Returns false when physical memory is exhausted.
   //
-  // CPT_COLD: page faults are OS work, excluded from the steady-state
-  // replay path the same way AbortWalk discards the walk's line count —
-  // the hot-path lint traversal (common/hotpath.h) prunes here, and
-  // Preload() pre-faulting keeps replays off this path entirely.
-  CPT_COLD bool TouchPage(VirtAddr va);
+  // Page faults are OS work, excluded from the steady-state replay the same
+  // way AbortWalk discards the walk's line count; Preload() pre-faulting
+  // keeps replays off this path entirely.
+  bool TouchPage(VirtAddr va);
 
   bool IsResident(Vpn vpn) const;
 

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "check/fwd.h"
-#include "common/hotpath.h"
 #include "mem/sim_alloc.h"
 #include "pt/page_table.h"
 
@@ -50,9 +49,8 @@ class ForwardMappedPageTable final : public PageTable {
   ForwardMappedPageTable(mem::CacheTouchModel& cache, Options opts);
   ~ForwardMappedPageTable() override;
 
-  [[nodiscard]] CPT_HOT std::optional<TlbFill> Lookup(VirtAddr va) override;
-  CPT_HOT void LookupBlock(VirtAddr va, unsigned subblock_factor,
-                           std::vector<TlbFill>& out) override;
+  [[nodiscard]] std::optional<TlbFill> Lookup(VirtAddr va) override;
+  void LookupBlock(VirtAddr va, unsigned subblock_factor, std::vector<TlbFill>& out) override;
   void InsertBase(Vpn vpn, Ppn ppn, Attr attr) override;
   bool RemoveBase(Vpn vpn) override;
   PtFeatures features() const override {
@@ -63,8 +61,7 @@ class ForwardMappedPageTable final : public PageTable {
   void UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor, Ppn block_base_ppn,
                              Attr attr, std::uint16_t valid_vector) override;
   bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
+  bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   std::uint64_t SizeBytesPaperModel() const override;
   std::uint64_t SizeBytesActual() const override;

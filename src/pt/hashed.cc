@@ -50,7 +50,6 @@ std::int32_t HashedPageTable::AllocNode() {
   } else {
     // Grows only when an insert needs a node no free-list slot can supply;
     // the replay steady state inserts nothing (HotPathScope-checked).
-    // cpt-lint: allow(hot-no-alloc)
     arena_.push_back(Node{});
     idx = static_cast<std::int32_t>(arena_.size() - 1);
   }

@@ -31,7 +31,6 @@
 
 #include "check/fwd.h"
 #include "common/hash.h"
-#include "common/hotpath.h"
 #include "common/stats.h"
 #include "mem/sim_alloc.h"
 #include "pt/page_table.h"
@@ -61,15 +60,14 @@ class HashedPageTable final : public PageTable {
   ~HashedPageTable() override;
 
   // ---- PageTable interface ----
-  [[nodiscard]] CPT_HOT std::optional<TlbFill> Lookup(VirtAddr va) override;
+  [[nodiscard]] std::optional<TlbFill> Lookup(VirtAddr va) override;
   void InsertBase(Vpn vpn, Ppn ppn, Attr attr) override;
   bool RemoveBase(Vpn vpn) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   // Lock-free R/M-bit update (Section 3.1): an uncounted chain walk followed
   // by an atomic fetch_or/CAS on the covering word — safe against concurrent
   // walkers and other updaters on a structurally frozen table.
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
+  bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) override;
   std::uint64_t SizeBytesPaperModel() const override;
   std::uint64_t SizeBytesActual() const override;
   std::uint64_t live_translations() const override;
@@ -82,7 +80,7 @@ class HashedPageTable final : public PageTable {
   bool RemoveKey(std::uint64_t key);
   // Chain walk for the key; cache-line counted.  `faulting_vpn` selects the
   // covered page when building the fill.
-  [[nodiscard]] CPT_HOT std::optional<TlbFill> LookupKey(std::uint64_t key, Vpn faulting_vpn);
+  [[nodiscard]] std::optional<TlbFill> LookupKey(std::uint64_t key, Vpn faulting_vpn);
   // Uncounted read of the stored word (OS-side inspection).
   std::optional<MappingWord> Peek(std::uint64_t key) const;
 

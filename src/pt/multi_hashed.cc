@@ -230,7 +230,6 @@ void SuperpageIndexHashed::Upsert(Vpn base_vpn, unsigned pages_log2, MappingWord
   } else {
     // Grows only when an insert needs a node no free-list slot can supply;
     // the replay steady state inserts nothing (HotPathScope-checked).
-    // cpt-lint: allow(hot-no-alloc)
     arena_.push_back(Node{});
     idx = static_cast<std::int32_t>(arena_.size() - 1);
   }

@@ -24,7 +24,6 @@
 
 #include "check/fwd.h"
 #include "common/hash.h"
-#include "common/hotpath.h"
 #include "mem/sim_alloc.h"
 #include "pt/hashed.h"
 #include "pt/page_table.h"
@@ -49,7 +48,7 @@ class MultiTableHashed final : public PageTable {
 
   MultiTableHashed(mem::CacheTouchModel& cache, Options opts);
 
-  [[nodiscard]] CPT_HOT std::optional<TlbFill> Lookup(VirtAddr va) override;
+  [[nodiscard]] std::optional<TlbFill> Lookup(VirtAddr va) override;
   void InsertBase(Vpn vpn, Ppn ppn, Attr attr) override;
   bool RemoveBase(Vpn vpn) override;
   PtFeatures features() const override { return {.superpages = true, .partial_subblock = true}; }
@@ -58,8 +57,7 @@ class MultiTableHashed final : public PageTable {
   void UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor, Ppn block_base_ppn,
                              Attr attr, std::uint16_t valid_vector) override;
   bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
+  bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   std::uint64_t SizeBytesPaperModel() const override;
   std::uint64_t SizeBytesActual() const override;
@@ -99,7 +97,7 @@ class SuperpageIndexHashed final : public PageTable {
 
   SuperpageIndexHashed(mem::CacheTouchModel& cache, Options opts);
 
-  [[nodiscard]] CPT_HOT std::optional<TlbFill> Lookup(VirtAddr va) override;
+  [[nodiscard]] std::optional<TlbFill> Lookup(VirtAddr va) override;
   void InsertBase(Vpn vpn, Ppn ppn, Attr attr) override;
   bool RemoveBase(Vpn vpn) override;
   PtFeatures features() const override { return {.superpages = true, .partial_subblock = true}; }
@@ -108,8 +106,7 @@ class SuperpageIndexHashed final : public PageTable {
   void UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor, Ppn block_base_ppn,
                              Attr attr, std::uint16_t valid_vector) override;
   bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
+  bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   std::uint64_t SizeBytesPaperModel() const override;
   std::uint64_t SizeBytesActual() const override;

@@ -10,9 +10,8 @@ void PageTable::LookupBlock(VirtAddr va, unsigned subblock_factor, std::vector<T
   // (Section 4.4): neighboring base pages hash to different buckets.
   const Vpn vpn = VpnOf(va);
   const Vpn first = FirstVpnOfBlock(VpbnOf(vpn, subblock_factor), subblock_factor);
-  // Callers reuse `out` across walks (Machine::block_fills_); this reserve is
-  // a no-op in the steady state and sanctions the push_backs below for the
-  // hot-no-alloc rule (each override reserves its own).
+  // Callers reuse `out` across walks (Machine::block_fills_), so this
+  // reserve is a no-op in the steady state.
   out.reserve(subblock_factor);
   for (unsigned i = 0; i < subblock_factor; ++i) {
     if (auto fill = Lookup(VaOf(first + i))) {

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "common/hotpath.h"
 #include "common/pte.h"
 #include "common/types.h"
 #include "mem/cache_model.h"
@@ -105,15 +104,14 @@ class PageTable {
   // Walks the table for `va`.  Returns nullopt on page fault.  The walk's
   // cache-line touches are recorded in cache() between BeginWalk/EndWalk,
   // which the caller (sim::Machine or WalkScope) brackets.
-  [[nodiscard]] CPT_HOT virtual std::optional<TlbFill> Lookup(VirtAddr va) = 0;
+  [[nodiscard]] virtual std::optional<TlbFill> Lookup(VirtAddr va) = 0;
 
   // Complete-subblock prefetch (Section 4.4): fetches mappings for every
   // resident base page of va's page block of `subblock_factor` pages.
   // The default implementation performs one full Lookup per base page, which
   // is the multiple-probe cost the paper charges hashed tables; tables with
   // adjacent PTE storage override it.
-  CPT_HOT virtual void LookupBlock(VirtAddr va, unsigned subblock_factor,
-                                   std::vector<TlbFill>& out);
+  virtual void LookupBlock(VirtAddr va, unsigned subblock_factor, std::vector<TlbFill>& out);
 
   // ---- OS update path ----
 
@@ -147,7 +145,7 @@ class PageTable {
   // re-walks (uncounted) and asks the table to rewrite the found word; it
   // works for every organization because UpdateWordAttr dispatches on the
   // fill the walk produced.
-  CPT_HOT virtual bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask);
+  virtual bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask);
 
   // Reads the attribute bits of the covering word without counting lines.
   std::optional<Attr> PeekAttr(Vpn vpn);

@@ -1,6 +1,8 @@
 #include "pt/software_tlb.h"
 
+#include <algorithm>
 #include <bit>
+
 #include "common/check.h"
 
 namespace cpt::pt {
@@ -18,6 +20,8 @@ SoftwareTlb::SoftwareTlb(mem::CacheTouchModel& cache, std::unique_ptr<PageTable>
   array_base_ =
       alloc_.Allocate(std::uint64_t{opts_.num_sets} * opts_.ways * slot_stride_);
   entries_.resize(std::size_t{opts_.num_sets} * opts_.ways);
+  fills_.resize(entries_.size() * FillsPerEntry());
+  block_scratch_.reserve(opts_.subblock_factor);
 }
 
 SoftwareTlb::~SoftwareTlb() = default;
@@ -48,7 +52,9 @@ std::optional<TlbFill> SoftwareTlb::Lookup(VirtAddr va) {
   const std::uint64_t key = KeyOf(vpn);
   obs::WalkTracer* const tracer = cache_.tracer();
   if (Entry* e = Probe(key, /*count_touch=*/true)) {
-    for (const TlbFill& fill : e->fills) {
+    const TlbFill* const fills = FillsOf(*e);
+    for (std::uint32_t i = 0; i < e->num_fills; ++i) {
+      const TlbFill& fill = fills[i];
       if (fill.Covers(vpn)) {
         ++hits_;
         if (tracer != nullptr) {
@@ -96,20 +102,20 @@ void SoftwareTlb::Refill(std::uint64_t key, Vpn vpn, const TlbFill& fill) {
   victim->key = key;
   victim->valid = true;
   victim->stamp = ++clock_;
-  victim->fills.clear();
-  // No-op once the entry has refilled before: clear() keeps capacity, so
-  // steady-state refills recycle it (hot-no-alloc discipline).
-  victim->fills.reserve(opts_.clustered_entries ? opts_.subblock_factor : 1);
+  TlbFill* const fills = FillsOf(*victim);
+  fills[0] = fill;
+  victim->num_fills = 1;
   if (opts_.clustered_entries) {
     // Cache every mapping of the page block, like a clustered PTE slot.
     // For backing tables with adjacent PTEs this costs no extra lines; for
     // a hashed backing it pays the multiple-probe price once per refill.
-    backing_->LookupBlock(VaOf(vpn), opts_.subblock_factor, victim->fills);
-    if (victim->fills.empty()) {
-      victim->fills.push_back(fill);
+    block_scratch_.clear();
+    backing_->LookupBlock(VaOf(vpn), opts_.subblock_factor, block_scratch_);
+    CPT_CHECK(block_scratch_.size() <= opts_.subblock_factor);
+    if (!block_scratch_.empty()) {
+      std::copy(block_scratch_.begin(), block_scratch_.end(), fills);
+      victim->num_fills = static_cast<std::uint32_t>(block_scratch_.size());
     }
-  } else {
-    victim->fills.push_back(fill);
   }
 }
 

@@ -21,6 +21,7 @@
 #ifndef CPT_PT_SOFTWARE_TLB_H_
 #define CPT_PT_SOFTWARE_TLB_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -28,7 +29,6 @@
 
 #include "check/fwd.h"
 #include "common/hash.h"
-#include "common/hotpath.h"
 #include "mem/sim_alloc.h"
 #include "pt/page_table.h"
 
@@ -50,9 +50,8 @@ class SoftwareTlb final : public PageTable {
   ~SoftwareTlb() override;
 
   // ---- PageTable interface ----
-  [[nodiscard]] CPT_HOT std::optional<TlbFill> Lookup(VirtAddr va) override;
-  CPT_HOT void LookupBlock(VirtAddr va, unsigned subblock_factor,
-                           std::vector<TlbFill>& out) override;
+  [[nodiscard]] std::optional<TlbFill> Lookup(VirtAddr va) override;
+  void LookupBlock(VirtAddr va, unsigned subblock_factor, std::vector<TlbFill>& out) override;
   void InsertBase(Vpn vpn, Ppn ppn, Attr attr) override;
   bool RemoveBase(Vpn vpn) override;
   PtFeatures features() const override { return backing_->features(); }
@@ -84,11 +83,11 @@ class SoftwareTlb final : public PageTable {
     std::uint64_t key = 0;           // VPN or VPBN.
     bool valid = false;
     std::uint64_t stamp = 0;         // For way replacement.
-    std::vector<TlbFill> fills;      // 1 fill (base) or up to s (clustered).
+    std::uint32_t num_fills = 0;     // Used prefix of the slot's FillsOf() run.
   };
   // Host layout pin (DESIGN.md "Layout pins"):
   // EntryBytes() charges the paper model, this pins the host struct.
-  static_assert(sizeof(Entry) == 48 && alignof(Entry) == 8);
+  static_assert(sizeof(Entry) == 32 && alignof(Entry) == 8);
 
   // Slot keys deliberately erase the domain: one array caches VPN-keyed
   // (base) or VPBN-keyed (clustered) entries depending on configuration, so
@@ -98,6 +97,11 @@ class SoftwareTlb final : public PageTable {
   }
   std::uint64_t EntryBytes() const {
     return opts_.clustered_entries ? 8 + 8ull * opts_.subblock_factor : 16;
+  }
+  // Fill capacity of one slot: 1 (base) or up to s (clustered).
+  unsigned FillsPerEntry() const { return opts_.clustered_entries ? opts_.subblock_factor : 1; }
+  TlbFill* FillsOf(const Entry& e) {
+    return &fills_[static_cast<std::size_t>(&e - entries_.data()) * FillsPerEntry()];
   }
   Entry* Probe(std::uint64_t key, bool count_touch);
   void Refill(std::uint64_t key, Vpn vpn, const TlbFill& fill);
@@ -112,6 +116,10 @@ class SoftwareTlb final : public PageTable {
   PhysAddr array_base_{};
   std::uint64_t slot_stride_ = 0;
   std::vector<Entry> entries_;  // num_sets * ways.
+  // Every slot's fills, FillsPerEntry() apiece, sized at construction so a
+  // refill never allocates.
+  std::vector<TlbFill> fills_;
+  std::vector<TlbFill> block_scratch_;  // Clustered refills' LookupBlock output.
   std::uint64_t clock_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -234,7 +234,7 @@ std::optional<pt::TlbFill> Machine::WalkUncounted(ProcessCtx& proc, VirtAddr va)
   return fill;
 }
 
-void Machine::Access(tlb::Asid asid, VirtAddr va, bool is_write) {
+void Machine::Access(tlb::Asid asid, VirtAddr va, bool is_write) noexcept {
   CPT_DCHECK(asid < num_processes_);
   ProcessCtx& proc = CtxOf(asid);
   va = EffectiveVa(asid, va);

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "check/auditor.h"
-#include "common/hotpath.h"
 #include "mem/cache_model.h"
 #include "mem/reservation.h"
 #include "os/address_space.h"
@@ -106,11 +105,13 @@ class Machine {
   Machine(MachineOptions opts, unsigned num_processes);
   ~Machine();
 
-  // Models one memory reference by process `asid`.  This is the hot root of
-  // the whole simulator (common/hotpath.h): everything it reaches is held
-  // to the hot-path lint rules, and replays under cpt::HotPathScope prove
-  // the steady state allocation-free.
-  CPT_HOT void Access(tlb::Asid asid, VirtAddr va, bool is_write = false);
+  // Models one memory reference by process `asid`.  Every replay enters the
+  // simulator here.  Failures below it are CPT_CHECK aborts, never
+  // exceptions, and noexcept makes that a type-level guarantee: a throw
+  // ends the run with std::terminate.  Replays under cpt::HotPathScope
+  // (tests/hotguard_test.cc) prove the steady state allocation-free for
+  // every configuration the constructor accepts.
+  void Access(tlb::Asid asid, VirtAddr va, bool is_write = false) noexcept;
 
   // ---- Telemetry (src/obs) ----
   // Publishes every TLB probe, walk step, page fault, promotion, and
@@ -175,9 +176,9 @@ class Machine {
   }
   // Counted walk; page faults are handled and the walk re-runs.  Returns
   // nullopt only if memory is exhausted.
-  CPT_HOT std::optional<pt::TlbFill> WalkCounted(ProcessCtx& proc, VirtAddr va);
+  std::optional<pt::TlbFill> WalkCounted(ProcessCtx& proc, VirtAddr va);
   // Uncounted walk for reference-TLB refills.
-  CPT_HOT std::optional<pt::TlbFill> WalkUncounted(ProcessCtx& proc, VirtAddr va);
+  std::optional<pt::TlbFill> WalkUncounted(ProcessCtx& proc, VirtAddr va);
 
   MachineOptions opts_;
   unsigned num_processes_ = 1;

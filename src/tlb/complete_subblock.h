@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "check/fwd.h"
-#include "common/hotpath.h"
 #include "tlb/entry_store.h"
 #include "tlb/tlb.h"
 
@@ -28,14 +27,14 @@ class CompleteSubblockTlb final : public Tlb {
 
   CompleteSubblockTlb(unsigned num_entries, unsigned subblock_factor);
 
-  [[nodiscard]] CPT_HOT LookupOutcome Lookup(Asid asid, Vpn vpn) override;
-  CPT_HOT void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  [[nodiscard]] LookupOutcome Lookup(Asid asid, Vpn vpn) override;
+  void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
   void Flush() override;
   std::string name() const override { return "complete-subblock"; }
 
   // Block-miss prefetch: installs every page of vpn's block that the given
   // fills cover, allocating the entry if needed (one replacement at most).
-  CPT_HOT void InsertBlock(Asid asid, Vpn vpn, std::span<const pt::TlbFill> fills);
+  void InsertBlock(Asid asid, Vpn vpn, std::span<const pt::TlbFill> fills);
 
   unsigned subblock_factor() const { return factor_; }
 

@@ -15,7 +15,6 @@
 
 #include "check/fwd.h"
 #include "common/hash.h"
-#include "common/hotpath.h"
 #include "tlb/tlb.h"
 
 namespace cpt::tlb {
@@ -26,8 +25,8 @@ class DualSizeSetAssocTlb final : public Tlb {
   // (log2 base pages), also the index granularity.
   DualSizeSetAssocTlb(unsigned num_sets, unsigned ways, unsigned superpage_log2 = 4);
 
-  [[nodiscard]] CPT_HOT LookupOutcome Lookup(Asid asid, Vpn vpn) override;
-  CPT_HOT void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  [[nodiscard]] LookupOutcome Lookup(Asid asid, Vpn vpn) override;
+  void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
   void Flush() override;
   std::string name() const override { return "dual-size-setassoc"; }
 

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "check/fwd.h"
-#include "common/hotpath.h"
 #include "tlb/tlb.h"
 
 namespace cpt::tlb {
@@ -77,7 +76,7 @@ class EntryStore {
   // Makes a valid entry for `key`, which must not be resident: the next
   // invalid slot in fill order, else the oldest slot, whose entry is
   // evicted.  The caller writes the payload and the stamp.
-  CPT_HOT std::uint32_t Claim(Key key);
+  std::uint32_t Claim(Key key);
 
   void Flush();
 

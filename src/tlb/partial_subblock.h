@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "check/fwd.h"
-#include "common/hotpath.h"
 #include "tlb/entry_store.h"
 #include "tlb/tlb.h"
 
@@ -21,8 +20,8 @@ class PartialSubblockTlb final : public Tlb {
  public:
   PartialSubblockTlb(unsigned num_entries, unsigned subblock_factor);
 
-  [[nodiscard]] CPT_HOT LookupOutcome Lookup(Asid asid, Vpn vpn) override;
-  CPT_HOT void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  [[nodiscard]] LookupOutcome Lookup(Asid asid, Vpn vpn) override;
+  void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
   void Flush() override;
   std::string name() const override { return "partial-subblock"; }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "check/fwd.h"
-#include "common/hotpath.h"
 #include "tlb/entry_store.h"
 #include "tlb/tlb.h"
 
@@ -17,8 +16,8 @@ class SinglePageTlb final : public Tlb {
  public:
   explicit SinglePageTlb(unsigned num_entries);
 
-  [[nodiscard]] CPT_HOT LookupOutcome Lookup(Asid asid, Vpn vpn) override;
-  CPT_HOT void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  [[nodiscard]] LookupOutcome Lookup(Asid asid, Vpn vpn) override;
+  void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
   void Flush() override;
   std::string name() const override { return "single-page"; }
 

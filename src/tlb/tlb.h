@@ -19,7 +19,6 @@
 #include <string>
 
 #include "common/check.h"
-#include "common/hotpath.h"
 #include "common/types.h"
 #include "pt/page_table.h"
 
@@ -58,10 +57,10 @@ class Tlb {
   Tlb& operator=(const Tlb&) = delete;
 
   // Probes the TLB for (asid, vpn), updating recency and statistics.
-  [[nodiscard]] CPT_HOT virtual LookupOutcome Lookup(Asid asid, Vpn vpn) = 0;
+  [[nodiscard]] virtual LookupOutcome Lookup(Asid asid, Vpn vpn) = 0;
 
   // Installs the page-table fill that satisfied a miss on (asid, vpn).
-  CPT_HOT virtual void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) = 0;
+  virtual void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) = 0;
 
   virtual void Flush() = 0;
 

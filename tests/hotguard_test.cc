@@ -1,8 +1,7 @@
-// The runtime half of the hot-path discipline (common/hotguard.h): a
-// HotPathScope makes any heap allocation on its thread abort with an
-// attributable message, and a preloaded replay of a paper workload runs its
-// steady state under the guard without tripping — the dynamic proof of the
-// property the hot-no-alloc lint rule checks statically.
+// The runtime allocation guard (common/hotguard.h): a HotPathScope makes
+// any heap allocation on its thread abort with an attributable message,
+// and a preloaded replay of every paper workload under every Machine
+// configuration runs its steady state under the guard without tripping.
 #include "common/hotguard.h"
 
 #include <gtest/gtest.h>
@@ -71,51 +70,102 @@ TEST(HotGuardDeathTest, ContainerGrowthInsideScopeTrips) {
       "HotPathScope violation");
 }
 
-// The integration proof behind the lint rules: after Preload() and a warm-up
-// replay has grown every pool and scratch buffer to its high-water mark, a
-// further replay slice performs zero heap allocations.  Covered: every
-// page-table organization behind the single-page TLB, and every Figure
-// 11b-d series behind its superpage or subblock TLB, on mp3d and coral.
-TEST(HotGuardTest, SteadyStateReplayDoesNotAllocate) {
+// The project's check that the per-reference path does not allocate: after
+// Preload() and a warm-up replay have grown every pool and scratch buffer
+// to its high-water mark, a further replay slice performs zero heap
+// allocations.  Covered: every page-table organization × TLB kind that
+// Machine supports (machine_matrix_test's filter), plus each option that
+// switches on a code path of its own, on all ten paper workloads, with the
+// trace's stores replayed as writes.
+struct GuardedConfig {
+  std::string name;
+  sim::MachineOptions opts;
+};
+
+std::vector<GuardedConfig> GuardedConfigs() {
   using sim::PtKind;
   using sim::TlbKind;
-  std::vector<std::pair<PtKind, TlbKind>> configs;
+  std::vector<GuardedConfig> out;
+  const auto add = [&out](std::string name, sim::MachineOptions opts) {
+    out.push_back({std::move(name), opts});
+  };
   for (const PtKind pt :
        {PtKind::kLinear6, PtKind::kLinear1, PtKind::kLinearHashed, PtKind::kForward,
         PtKind::kHashed, PtKind::kHashedMulti, PtKind::kHashedSpIndex, PtKind::kClustered,
         PtKind::kClusteredAdaptive, PtKind::kHashedInverted}) {
-    configs.emplace_back(pt, TlbKind::kSinglePage);
-  }
-  for (const TlbKind tlb : {TlbKind::kSuperpage, TlbKind::kPartialSubblock}) {
-    for (const PtKind pt :
-         {PtKind::kLinear1, PtKind::kForward, PtKind::kHashedMulti, PtKind::kClustered}) {
-      configs.emplace_back(pt, tlb);
-    }
-  }
-  for (const PtKind pt : {PtKind::kLinear1, PtKind::kForward, PtKind::kHashed,
-                          PtKind::kClustered}) {
-    configs.emplace_back(pt, TlbKind::kCompleteSubblock);
-  }
-  for (const char* name : {"mp3d", "coral"}) {
-    const auto& spec = workload::GetPaperWorkload(name);
-    const auto snap = workload::BuildSnapshot(spec);
-    for (const auto& [pt, tlb] : configs) {
-      SCOPED_TRACE(std::string(name) + "/" + sim::ToString(pt) + "/" + sim::ToString(tlb));
+    for (const TlbKind tlb : {TlbKind::kSinglePage, TlbKind::kSuperpage,
+                              TlbKind::kPartialSubblock, TlbKind::kCompleteSubblock}) {
+      // Plain and inverted hashed tables cannot store superpage/PSB PTEs.
+      const bool needs_sp = tlb == TlbKind::kSuperpage || tlb == TlbKind::kPartialSubblock;
+      if (needs_sp && (pt == PtKind::kHashed || pt == PtKind::kHashedInverted)) {
+        continue;
+      }
       sim::MachineOptions opts;
       opts.pt_kind = pt;
       opts.tlb_kind = tlb;
-      sim::Machine m(opts, static_cast<unsigned>(spec.processes.size()));
+      add(sim::ToString(pt) + "/" + sim::ToString(tlb), opts);
+    }
+    // Complete-subblock TLB refilled one page per miss (no block prefetch).
+    sim::MachineOptions opts;
+    opts.pt_kind = pt;
+    opts.tlb_kind = TlbKind::kCompleteSubblock;
+    opts.prefetch_on_block_miss = false;
+    add(sim::ToString(pt) + "/complete-subblock/no-prefetch", opts);
+  }
+  {
+    sim::MachineOptions opts;
+    opts.swtlb_sets = 1024;
+    add("swtlb/base-entries", opts);
+    opts.swtlb_clustered_entries = true;
+    add("swtlb/clustered-entries", opts);
+    // A hashed backing serves clustered refills with one probe per page.
+    opts.pt_kind = PtKind::kHashed;
+    add("swtlb/clustered-entries/hashed", opts);
+  }
+  {
+    sim::MachineOptions opts;
+    opts.maintain_ref_bits = true;
+    add("ref-bits/clustered/single-page", opts);
+    opts.pt_kind = PtKind::kHashedMulti;
+    opts.tlb_kind = TlbKind::kPartialSubblock;
+    add("ref-bits/hashed-multi/partial-subblock", opts);
+  }
+  {
+    sim::MachineOptions opts;
+    opts.shared_page_table = true;
+    add("shared-page-table", opts);
+  }
+  {
+    sim::MachineOptions opts;
+    opts.pt_kind = PtKind::kHashedMulti;
+    opts.tlb_kind = TlbKind::kPartialSubblock;
+    opts.hashed_block_first = true;
+    add("hashed-multi/partial-subblock/block-first", opts);
+  }
+  return out;
+}
+
+TEST(HotGuardTest, SteadyStateReplayDoesNotAllocate) {
+  const std::vector<GuardedConfig> configs = GuardedConfigs();
+  ASSERT_EQ(configs.size(), 53u);
+  for (const workload::WorkloadSpec& spec : workload::PaperWorkloads()) {
+    const auto snap = workload::BuildSnapshot(spec);
+    for (const GuardedConfig& config : configs) {
+      // The guard aborts rather than failing an assertion, so its site
+      // string is what names the workload and configuration.
+      const std::string site = spec.name + "/" + config.name;
+      sim::Machine m(config.opts, static_cast<unsigned>(spec.processes.size()));
       m.Preload(snap);
       workload::TraceGenerator gen(spec, snap);
       for (int i = 0; i < 30000; ++i) {
         const auto r = gen.Next();
-        m.Access(r.asid, r.va);
+        m.Access(r.asid, r.va, r.is_write);
       }
       // Steady state: the guard aborts the test on the first allocation.
-      HotPathScope guard("hotguard_test.steady_state_replay");
+      HotPathScope guard(site.c_str());
       for (int i = 0; i < 30000; ++i) {
         const auto r = gen.Next();
-        m.Access(r.asid, r.va);
+        m.Access(r.asid, r.va, r.is_write);
       }
     }
   }

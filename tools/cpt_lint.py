@@ -51,23 +51,13 @@ Rules (see DESIGN.md "Static analysis" for the catalog and policy):
                           pthread_* outside common/sync.h: page tables are
                           single-writer, and threads go through
                           cpt::ThreadGroup.
-  hot-no-alloc            whole-program: nothing reachable from a CPT_HOT
-                          root (common/hotpath.h) may allocate — no new/
-                          make_unique, no push_back/resize without a
-                          reserve() in the same class (members) or
-                          function (locals), no string formatting or
-                          iostream.
-  hot-no-throw            whole-program: no throw / throwing std calls
-                          (at, value, stoi...) reachable from a hot root.
-  hot-lock-discipline     whole-program: locks on hot paths carry an
-                          adjacent '// hot-lock:'
-                          justification, budgeted in the debt ledger; bare
-                          blocking calls (sleep/join/wait) never pass.
+  unknown-suppression     a cpt-lint suppression must name a rule that
+                          exists, so a misspelled or stale allow() fails
+                          instead of silently suppressing nothing.
 
-The hot rules ride on a heuristic call graph over src/ (see HotAnalysis);
-the same analysis emits the devirtualization-debt ledger
-(tools/hotpath_debt.json, --write-hot-debt / --check-hot-debt), which
-growth-gates every virtual call site reachable from the hot roots.
+No rule here follows calls across functions.  Allocation-freedom of the
+per-reference replay is checked at runtime instead: HotGuardTest replays
+every Machine configuration under cpt::HotPathScope (common/hotguard.h).
 
 Struct layout is deliberately NOT modeled here: the compiler owns it.  The
 byte counts the simulator charges come from paper-model constants
@@ -75,8 +65,8 @@ byte counts the simulator charges come from paper-model constants
 entry and fill struct pins its host size with a static_assert next to its
 definition (DESIGN.md "Layout pins").
 
-Exit codes: 0 clean, 1 findings or debt growth, 2 internal error (an
-unreadable input or malformed baseline/debt ledger — not a lint verdict).
+Exit codes: 0 clean, 1 findings, 2 internal error (an unreadable input or
+malformed baseline — not a lint verdict).
 
 Suppressions:
   // cpt-lint: allow(rule[, rule])   suppress on this line (trailing) or,
@@ -103,8 +93,6 @@ Usage:
 import argparse
 import fnmatch
 import json
-import multiprocessing
-import os
 import re
 import sys
 import time
@@ -309,17 +297,15 @@ class SourceFile:
         self._fn_spans = None  # cached function_bodies() result
         self._allow = {}   # line -> set(rule)
         self._blocks = []  # (rule, start_line, end_line_inclusive)
+        self.unknown_suppressions = []  # (line, rule) naming no known rule
         self._parse_suppressions()
 
     def function_spans(self):
         """Cached (start_index, end_index) function-body spans.
 
         Tokenizing happens once per file (in __init__); this caches the next
-        most expensive per-file pass so the call-graph builder and the
-        token-span rules (walk-protocol-pairing, the hot-path rules) share
-        one scan instead of re-deriving it per rule.  The cache is built
-        eagerly by Project.ensure_hot_analysis() before run_rules() forks,
-        so --jobs workers inherit it instead of recomputing per child.
+        most expensive per-file pass, and its cost is accounted under the
+        file-parse timing key alongside tokenizing.
         """
         if self._fn_spans is None:
             t0 = time.perf_counter()
@@ -336,8 +322,7 @@ class SourceFile:
                 rules = [r.strip() for r in m.group(2).split(",") if r.strip()]
                 for rule in rules:
                     if rule not in RULES:
-                        print(f"{self.rel}:{comment.line}: warning: suppression names "
-                              f"unknown rule '{rule}'", file=sys.stderr)
+                        self.unknown_suppressions.append((comment.line, rule))
                         continue
                     if verb == "allow":
                         self._allow.setdefault(comment.line, set()).add(rule)
@@ -529,26 +514,11 @@ class Project:
         self.enums = {}         # name -> [EnumDef]
         self.count_consts = {}  # name -> int
         self.name_tables = []   # [NameTable]
-        self._hot = None        # lazy HotAnalysis (see ensure_hot_analysis)
-        self.hot_prepare_seconds = 0.0
         for sf in files:
             for e in parse_enums(sf):
                 self.enums.setdefault(e.name, []).append(e)
             self.count_consts.update(parse_count_consts(sf))
             self.name_tables.extend(parse_name_tables(sf))
-
-    def ensure_hot_analysis(self):
-        """Builds (once) the whole-program hot-path call graph.
-
-        run_rules() calls this eagerly before forking a --jobs pool so the
-        workers inherit the graph and the cached function spans instead of
-        each re-deriving them.
-        """
-        if self._hot is None:
-            t0 = time.perf_counter()
-            self._hot = HotAnalysis(self.files)
-            self.hot_prepare_seconds = time.perf_counter() - t0
-        return self._hot
 
     def enum_for_switch(self, name, seen_enumerators, rel=None):
         """The unique EnumDef consistent with the observed case labels.
@@ -568,501 +538,6 @@ class Project:
                               for d in consistent):
             return consistent[0]
         return None
-
-
-# ---------------------------------------------------------------------------
-# Whole-program hot-path analysis (heuristic call graph)
-# ---------------------------------------------------------------------------
-#
-# The hot-path rules (hot-no-alloc / hot-no-throw / hot-lock-discipline) gate
-# the transitive closure of everything reachable from a CPT_HOT-annotated
-# function (common/hotpath.h), so a per-file token scan is not enough: the
-# analysis below builds a heuristic call graph over src/ from the same token
-# streams the other rules use.
-#
-# Heuristics, stated so their failure modes are known:
-#   - Function definitions come from function_bodies() spans; the name and
-#     enclosing class are recovered by scanning back over the header (the
-#     back-scan steps over ctor-initializer lists and specifier macros).
-#   - A member call `x->F(...)` / `x.F(...)` resolves to EVERY definition of
-#     F in the graph, which over-approximates virtual dispatch (exactly what
-#     a gate wants: every override of a hot interface method is hot).
-#   - A qualified call `Cls::F(...)` resolves to Cls's F only — that form is
-#     devirtualized at the language level, so it neither widens the graph
-#     nor lands in the debt ledger.
-#   - Traversal prunes at CPT_COLD functions (the page-fault path is OS
-#     work, off the steady-state loop by design) and at the observability /
-#     audit boundary (HOT_BOUNDARY_GLOBS): those layers are null-checked or
-#     disabled off the counted path by repo invariant, and keeping them out
-#     of the closure keeps the rules about the replay loop itself.  Virtual
-#     call *sites* into those layers (tracer_->Record(...)) still count as
-#     devirtualization debt.
-#
-# The devirtualization-debt ledger (tools/hotpath_debt.json) enumerates every
-# virtual call site reachable from the hot roots; --check-hot-debt gates it
-# against growth exactly like the findings baseline, so ROADMAP item 2's
-# CRTP/variant-dispatch work burns it down monotonically.
-
-# Files that participate in the call graph and may carry hot-path findings.
-HOT_GRAPH_GLOBS = ("src/*", "tests/lint/fixtures/*")
-# Traversal stops at these layers (see the block comment above).
-HOT_BOUNDARY_GLOBS = ("src/obs/*", "src/check/*")
-DEFAULT_HOT_DEBT = Path(__file__).resolve().parent / "hotpath_debt.json"
-
-CPP_KEYWORDS = {
-    "if", "else", "for", "while", "do", "switch", "case", "return", "sizeof",
-    "alignof", "alignas", "decltype", "new", "delete", "throw", "catch",
-    "static_assert", "const_cast", "static_cast", "dynamic_cast",
-    "reinterpret_cast", "operator", "template", "typename", "using",
-    "namespace", "public", "private", "protected", "default", "break",
-    "continue", "goto", "co_await", "co_return", "co_yield", "requires",
-    "noexcept", "explicit", "inline", "constexpr", "consteval", "constinit",
-}
-
-
-class FunctionDef:
-    """One function definition (a body span) discovered in a source file."""
-    __slots__ = ("name", "cls", "file", "line", "start", "end",
-                 "hot_depth", "is_root")
-
-    def __init__(self, name, cls, file, line, start, end):
-        self.name = name
-        self.cls = cls          # enclosing/qualifying class name, or None
-        self.file = file
-        self.line = line
-        self.start = start      # token index of the opening '{'
-        self.end = end          # token index of the closing '}'
-        self.hot_depth = None   # min call depth from a CPT_HOT root, or None
-        self.is_root = False
-
-    @property
-    def qual(self):
-        return f"{self.cls}::{self.name}" if self.cls else self.name
-
-
-def _match_paren_back(toks, close_index, open_ch="(", close_ch=")"):
-    """tokens[close_index] must be close_ch; returns the matching open_ch."""
-    depth = 0
-    i = close_index
-    while i >= 0:
-        t = toks[i].text
-        if t == close_ch:
-            depth += 1
-        elif t == open_ch:
-            depth -= 1
-            if depth == 0:
-                return i
-        i -= 1
-    return 0
-
-
-def _macro_like(name):
-    return bool(re.fullmatch(r"[A-Z][A-Z0-9_]+", name))
-
-
-def class_spans(toks):
-    """(name, open_index, close_index) for every class/struct body."""
-    spans = []
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if t.kind != "id" or t.text not in ("class", "struct"):
-            i += 1
-            continue
-        prev = toks[i - 1].text if i > 0 else ""
-        if prev in ("enum", "<", ","):  # enum class / template parameter
-            i += 1
-            continue
-        name = None
-        j = i + 1
-        while j < len(toks) and toks[j].text not in ("{", ";", ":", "<"):
-            tj = toks[j]
-            if tj.kind == "id" and tj.text != "final" and not _macro_like(tj.text):
-                name = tj.text
-            j += 1
-        while j < len(toks) and toks[j].text not in ("{", ";"):
-            j += 1  # base clause
-        if j < len(toks) and toks[j].text == "{" and name is not None:
-            spans.append((name, j, _match_paren(toks, j, "{", "}")))
-        i = j + 1 if j > i else i + 1
-    return spans
-
-
-def _innermost_class(spans, tok_index):
-    best = None
-    for name, open_idx, close_idx in spans:
-        if open_idx < tok_index < close_idx:
-            if best is None or open_idx > best[1]:
-                best = (name, open_idx)
-    return best[0] if best else None
-
-
-def _header_name(toks, brace_index):
-    """(name_index, qualifier) for the function body opening at brace_index.
-
-    Scans back from the '{' to the parameter list's ')' — stepping over
-    ctor-initializer groups, noexcept(...)/macro(...) groups, and specifier
-    tokens — then reads `[Qualifier ::] Name` before the '('.
-    """
-    skip = {"const", "noexcept", "override", "final", "mutable", "&", "&&",
-            "try", "->", "...", ">", "<", "::", ",", "*", "]", "["}
-    j = brace_index - 1
-    budget = 256
-    while j >= 0 and budget > 0:
-        budget -= 1
-        t = toks[j]
-        if t.text == ")":
-            open_i = _match_paren_back(toks, j)
-            k = open_i - 1
-            if k < 0:
-                return None
-            name_tok = toks[k]
-            if name_tok.kind != "id":
-                # `](...)` lambda or operator(): no name to recover.
-                return None
-            before = toks[k - 1].text if k > 0 else ""
-            if before in (":", ","):
-                # A ctor-initializer group `, member_(...)`: the real header
-                # is further back; resume the scan before the introducer.
-                j = k - 2
-                continue
-            if name_tok.text == "noexcept" or _macro_like(name_tok.text):
-                j = open_i - 1  # noexcept(...) / CPT_EXCLUDES(...) group
-                continue
-            if name_tok.text in CPP_KEYWORDS:
-                return None  # if/while/switch header, not a function
-            qual = None
-            if k >= 2 and toks[k - 1].text == "::" and toks[k - 2].kind == "id":
-                qual = toks[k - 2].text
-            return k, qual
-        if t.kind == "id" or t.text in skip:
-            j -= 1
-            continue
-        return None
-    return None
-
-
-def extract_functions(sf):
-    """FunctionDefs for every named function body in one file."""
-    toks = sf.tokens
-    spans = class_spans(toks)
-    out = []
-    for start, end in sf.function_spans():
-        header = _header_name(toks, start)
-        if header is None:
-            continue
-        name_idx, qual = header
-        name_tok = toks[name_idx]
-        cls = qual if qual is not None else _innermost_class(spans, name_idx)
-        out.append(FunctionDef(name_tok.text, cls, sf.rel, name_tok.line,
-                               start, end))
-    return out
-
-
-def _annotated_names(sf, marker):
-    """(class, name) pairs whose declaration carries `marker` (CPT_HOT/...).
-
-    The marker precedes the declarator; the declared name is the first
-    identifier followed by '(' before the declaration ends.  Template
-    argument lists and parameter-list internals never match because their
-    identifiers are not directly followed by '('.
-    """
-    toks = sf.tokens
-    spans = class_spans(toks)
-    out = []
-    for i, t in enumerate(toks):
-        if t.kind != "id" or t.text != marker:
-            continue
-        j = i + 1
-        while j + 1 < len(toks) and toks[j].text not in (";", "{", "}"):
-            if (toks[j].kind == "id" and toks[j + 1].text == "("
-                    and toks[j].text not in CPP_KEYWORDS
-                    and not _macro_like(toks[j].text)):
-                out.append((_innermost_class(spans, j), toks[j].text))
-                break
-            j += 1
-    return out
-
-
-def collect_virtual_methods(sf):
-    """name -> interface class, for every `virtual`-declared method."""
-    toks = sf.tokens
-    spans = class_spans(toks)
-    out = {}
-    for i, t in enumerate(toks):
-        if t.kind != "id" or t.text != "virtual":
-            continue
-        j = i + 1
-        while j + 1 < len(toks) and toks[j].text not in (";", "{", "}"):
-            if (toks[j].kind == "id" and toks[j + 1].text == "("
-                    and toks[j].text not in CPP_KEYWORDS):
-                cls = _innermost_class(spans, j)
-                # The base (first-seen) declarer names the interface; an
-                # override re-declared `virtual` elsewhere keeps the root.
-                out.setdefault(toks[j].text, cls)
-                break
-            j += 1
-    return out
-
-
-class CallSite:
-    __slots__ = ("callee", "line", "form", "receiver")
-
-    def __init__(self, callee, line, form, receiver=None):
-        self.callee = callee
-        self.line = line
-        self.form = form        # "member" | "qualified" | "direct"
-        self.receiver = receiver  # qualifier class for "qualified"
-
-
-def extract_call_sites(toks, start, end):
-    """CallSites inside one function body span (indices start..end)."""
-    out = []
-    i = start + 1
-    while i < end:
-        t = toks[i]
-        if (t.kind == "id" and i + 1 <= end and toks[i + 1].text == "("
-                and t.text not in CPP_KEYWORDS and not _macro_like(t.text)):
-            prev = toks[i - 1].text if i > 0 else ""
-            prev2 = toks[i - 2] if i > 1 else None
-            if prev in (".", "->"):
-                out.append(CallSite(t.text, t.line, "member"))
-            elif prev == "::":
-                recv = prev2.text if prev2 is not None and prev2.kind == "id" else None
-                out.append(CallSite(t.text, t.line, "qualified", recv))
-            else:
-                out.append(CallSite(t.text, t.line, "direct"))
-        i += 1
-    return out
-
-
-def _matches_mark(fd, marks):
-    """Does FunctionDef fd match an annotated (class, name) pair?"""
-    for cls, name in marks:
-        if fd.name != name:
-            continue
-        if cls is None or fd.cls is None or fd.cls == cls:
-            return True
-    return False
-
-
-class HotAnalysis:
-    """The call graph, hot-reachable set, and devirtualization debt."""
-
-    def __init__(self, files):
-        graph_files = [sf for sf in files
-                       if any(fnmatch.fnmatch(sf.rel, g) for g in HOT_GRAPH_GLOBS)]
-        self.defs = []
-        self.defs_by_name = {}
-        self.virtual_methods = {}   # method name -> interface class
-        hot_marks, cold_marks = [], []
-        for sf in graph_files:
-            for fd in extract_functions(sf):
-                self.defs.append(fd)
-                self.defs_by_name.setdefault(fd.name, []).append(fd)
-            for name, cls in collect_virtual_methods(sf).items():
-                self.virtual_methods.setdefault(name, cls)
-            hot_marks.extend(_annotated_names(sf, "CPT_HOT"))
-            cold_marks.extend(_annotated_names(sf, "CPT_COLD"))
-        self._tokens_by_file = {sf.rel: sf.tokens for sf in graph_files}
-        self._collect_reserves()
-        self.cold = {fd for fd in self.defs if _matches_mark(fd, cold_marks)}
-        self._traverse(hot_marks)
-        self._collect_debt()
-        self._collect_locks()
-
-    def _collect_reserves(self):
-        """Receivers a `x.reserve(n)` / `x.Reserve(n)` call provisions.
-
-        A reserve sanctions push_back/resize growth on the same receiver in
-        hot code (capacity was provisioned; steady state cannot allocate),
-        but only within its scope: a data member (trailing-underscore name,
-        the project's member convention) is sanctioned in every method of
-        the reserving class, anything else only in the reserving function.
-        A bare-name match across the tree would let one class's reserve
-        excuse an unrelated class's growth of a same-named member.
-        """
-        self.reserved_members = set()  # (class, receiver)
-        self.reserved_locals = set()   # (file, body start, receiver)
-        for fd in self.defs:
-            toks = self._tokens_by_file[fd.file]
-            for i in range(fd.start + 1, fd.end):
-                t = toks[i]
-                if (t.kind == "id" and t.text in ("reserve", "Reserve")
-                        and toks[i - 1].text in (".", "->")
-                        and toks[i + 1].text == "("
-                        and toks[i - 2].kind == "id"):
-                    recv = toks[i - 2].text
-                    self.reserved_locals.add((fd.file, fd.start, recv))
-                    if fd.cls is not None and recv.endswith("_"):
-                        self.reserved_members.add((fd.cls, recv))
-
-    def is_reserved(self, fd, recv):
-        """Whether a reserve() in scope provisions `recv` for `fd`."""
-        return ((fd.file, fd.start, recv) in self.reserved_locals
-                or (fd.cls is not None and recv.endswith("_")
-                    and (fd.cls, recv) in self.reserved_members))
-
-    def _boundary(self, fd):
-        return any(fnmatch.fnmatch(fd.file, g) for g in HOT_BOUNDARY_GLOBS)
-
-    def _callees(self, fd):
-        toks = self._tokens_by_file[fd.file]
-        for site in extract_call_sites(toks, fd.start, fd.end):
-            if site.form == "qualified" and site.receiver is not None:
-                for cand in self.defs_by_name.get(site.callee, ()):
-                    if cand.cls == site.receiver:
-                        yield cand
-            else:
-                # Member and unqualified calls resolve to every same-named
-                # definition: the virtual-dispatch over-approximation.
-                yield from self.defs_by_name.get(site.callee, ())
-
-    def _traverse(self, hot_marks):
-        frontier = []
-        for fd in self.defs:
-            if _matches_mark(fd, hot_marks) and fd not in self.cold:
-                fd.hot_depth = 0
-                fd.is_root = True
-                frontier.append(fd)
-        while frontier:
-            next_frontier = []
-            for fd in frontier:
-                if self._boundary(fd):
-                    continue  # reachable, but its callees are not traversed
-                for callee in self._callees(fd):
-                    if callee.hot_depth is not None or callee in self.cold:
-                        continue
-                    callee.hot_depth = fd.hot_depth + 1
-                    next_frontier.append(callee)
-            frontier = next_frontier
-
-    def hot_defs_in(self, rel):
-        """Hot-reachable, checkable definitions in one file."""
-        return [fd for fd in self.defs
-                if fd.file == rel and fd.hot_depth is not None
-                and not self._boundary(fd)]
-
-    def _collect_debt(self):
-        """Every virtual call site reachable from the hot roots."""
-        self.virtual_sites = []   # dicts: file/function/callee/interface/...
-        for fd in sorted((f for f in self.defs if f.hot_depth is not None
-                          and f not in self.cold and not self._boundary(f)),
-                         key=lambda f: (f.file, f.line)):
-            toks = self._tokens_by_file[fd.file]
-            for site in extract_call_sites(toks, fd.start, fd.end):
-                if site.form == "qualified":
-                    continue  # Cls::F() is devirtualized at the call site
-                if site.callee not in self.virtual_methods:
-                    continue
-                self.virtual_sites.append({
-                    "file": fd.file,
-                    "function": fd.qual,
-                    "callee": site.callee,
-                    "interface": self.virtual_methods[site.callee] or "?",
-                    "line": site.line,
-                    "depth": fd.hot_depth,
-                })
-
-    # Lock acquisitions (scoped wrappers or lock methods); bare blocking
-    # calls are hot-lock-discipline findings, never ledger entries.
-    LOCK_WRAPPERS = {"MutexLock", "SharedMutexLock"}
-    LOCK_METHODS = {"Acquire", "lock", "lock_shared", "try_lock"}
-
-    def _collect_locks(self):
-        """Every lock site in hot-reachable code (the budget)."""
-        self.hot_lock_sites = []
-        for fd in sorted((f for f in self.defs if f.hot_depth is not None
-                          and f not in self.cold and not self._boundary(f)),
-                         key=lambda f: (f.file, f.line)):
-            toks = self._tokens_by_file[fd.file]
-            for i in range(fd.start + 1, fd.end):
-                t = toks[i]
-                if t.kind != "id":
-                    continue
-                prev = toks[i - 1].text if i > 0 else ""
-                nxt = toks[i + 1].text if i + 1 < len(toks) else ""
-                if t.text in self.LOCK_WRAPPERS or (
-                        t.text in self.LOCK_METHODS and prev in (".", "->")
-                        and nxt == "("):
-                    self.hot_lock_sites.append({
-                        "file": fd.file, "function": fd.qual,
-                        "lock": t.text, "line": t.line,
-                        "depth": fd.hot_depth,
-                    })
-
-    def debt_fingerprints(self):
-        return Counter(f"{s['file']}::{s['function']}::{s['callee']}"
-                       for s in self.virtual_sites)
-
-    def lock_fingerprints(self):
-        return Counter(f"{s['file']}::{s['function']}::{s['lock']}"
-                       for s in self.hot_lock_sites)
-
-
-# ---------------------------------------------------------------------------
-# Devirtualization-debt ledger (growth-gated like the findings baseline)
-# ---------------------------------------------------------------------------
-
-def debt_payload(analysis):
-    return {
-        "schema": "cpt-hotpath-debt", "version": 1,
-        "virtual_sites": dict(sorted(analysis.debt_fingerprints().items())),
-        "hot_lock_sites": dict(sorted(analysis.lock_fingerprints().items())),
-    }
-
-
-def debt_report(analysis):
-    """Detailed, human/CI-artifact view (line numbers and depths included)."""
-    by_interface = Counter(s["interface"] for s in analysis.virtual_sites)
-    return {
-        "schema": "cpt-hotpath-debt-report", "version": 1,
-        "total_virtual_sites": len(analysis.virtual_sites),
-        "by_interface": dict(sorted(by_interface.items())),
-        "sites": analysis.virtual_sites,
-        "hot_lock_sites": analysis.hot_lock_sites,
-    }
-
-
-def load_debt(path):
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return (Counter(data.get("virtual_sites", {})),
-            Counter(data.get("hot_lock_sites", {})))
-
-
-def check_debt(analysis, path):
-    """Exit-style status: 0 when no entry grew, 1 on growth.
-
-    Mirrors the findings-baseline contract: a site fingerprint that is new
-    or whose count increased fails; shrinkage is reported as stale (run
-    --write-hot-debt to ratchet the ledger down).
-    """
-    if not Path(path).exists():
-        print(f"hot-debt ledger missing: {path} (run --write-hot-debt)",
-              file=sys.stderr)
-        return 1
-    want_virtual, want_locks = load_debt(path)
-    ok = True
-    for label, current, committed in (
-            ("virtual call site", analysis.debt_fingerprints(), want_virtual),
-            ("hot lock site", analysis.lock_fingerprints(), want_locks)):
-        for fp, n in sorted(current.items()):
-            limit = committed.get(fp, 0)
-            if n > limit:
-                print(f"hot-path debt grew: {label} {fp} "
-                      f"({limit} -> {n}); devirtualize it or regenerate the "
-                      f"ledger deliberately with --write-hot-debt",
-                      file=sys.stderr)
-                ok = False
-        for fp, limit in sorted(committed.items()):
-            if current.get(fp, 0) < limit:
-                print(f"stale ledger entry (debt shrank — ratchet with "
-                      f"--write-hot-debt): {label} {fp}")
-    if ok:
-        total = sum(analysis.debt_fingerprints().values())
-        print(f"hot-debt ledger holds: {total} virtual call sites, "
-              f"{sum(analysis.lock_fingerprints().values())} lock sites")
-    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -1760,172 +1235,19 @@ class RawSyncPrimitive(Rule):
         return findings
 
 
-# ---- hot-path rules (whole-program; see HotAnalysis above) -----------------
+# ---- unknown-suppression ---------------------------------------------------
 
-class HotPathRule(Rule):
-    """Shared scaffolding: iterate hot-reachable definitions in one file."""
-    include = HOT_GRAPH_GLOBS
-    exclude = HOT_BOUNDARY_GLOBS
+@register
+class UnknownSuppression(Rule):
+    name = "unknown-suppression"
+    help = ("a '// cpt-lint: allow/off/on(rule)' comment must name an existing "
+            "rule; a misspelled or retired name suppresses nothing")
 
     def check(self, sf, project):
-        hot = project.ensure_hot_analysis()
-        findings = []
-        toks = sf.tokens
-        for fd in hot.hot_defs_in(sf.rel):
-            self.check_hot_body(sf, toks, fd, hot, findings)
-        return findings
-
-    def check_hot_body(self, sf, toks, fd, hot, findings):
-        raise NotImplementedError
-
-    @staticmethod
-    def where(fd):
-        return (f"in {fd.qual}(), reachable from a CPT_HOT root at call "
-                f"depth {fd.hot_depth}")
-
-
-@register
-class HotNoAlloc(HotPathRule):
-    name = "hot-no-alloc"
-    help = ("no heap allocation reachable from a CPT_HOT root: no new/"
-            "make_unique, no push_back/resize without an in-scope "
-            "reserve(), no string formatting or iostream (pair with "
-            "cpt::HotPathScope, which "
-            "proves the same property dynamically)")
-
-    ALLOC_CALLS = {"malloc", "calloc", "realloc", "strdup",
-                   "make_unique", "make_shared"}
-    GROWTH_METHODS = {"push_back", "emplace_back", "resize"}
-    FORMAT_IDS = {"to_string", "format", "stringstream", "ostringstream",
-                  "istringstream"}
-    IOSTREAM_IDS = {"cout", "cerr", "clog", "endl"}
-
-    def check_hot_body(self, sf, toks, fd, hot, findings):
-        for i in range(fd.start + 1, fd.end):
-            t = toks[i]
-            if t.kind != "id":
-                continue
-            prev = toks[i - 1].text if i > 0 else ""
-            nxt = toks[i + 1].text if i + 1 < len(toks) else ""
-            if t.text == "new":
-                findings.append(Finding(
-                    self.name, sf, t.line,
-                    f"operator new {self.where(fd)}; hot paths must not "
-                    f"allocate — hoist the allocation to setup or reserve "
-                    f"capacity up front"))
-            elif t.text in self.ALLOC_CALLS and nxt == "(":
-                findings.append(Finding(
-                    self.name, sf, t.line,
-                    f"{t.text}() {self.where(fd)}; hot paths must not "
-                    f"allocate"))
-            elif (t.text in self.GROWTH_METHODS and prev in (".", "->")
-                    and nxt == "(" and i >= 2):
-                # Receiver = identifier before '.'; step back over a
-                # subscript or call group (free_lists_[k].push_back).
-                j = i - 2
-                if toks[j].text == "]":
-                    j = _match_paren_back(toks, j, "[", "]") - 1
-                elif toks[j].text == ")":
-                    j = _match_paren_back(toks, j) - 1
-                recv = toks[j].text if j >= 0 else ""
-                if hot.is_reserved(fd, recv):
-                    continue  # capacity provisioned by a reserve() call
-                findings.append(Finding(
-                    self.name, sf, t.line,
-                    f"{recv}.{t.text}() {self.where(fd)} with no reserve() "
-                    f"for '{recv}' in its class or function; pre-reserve so "
-                    f"steady state never reallocates"))
-            elif t.text in self.FORMAT_IDS and prev != "->":
-                findings.append(Finding(
-                    self.name, sf, t.line,
-                    f"string formatting ({t.text}) {self.where(fd)}; format "
-                    f"in cold reporting code, not per reference"))
-            elif t.text in self.IOSTREAM_IDS:
-                findings.append(Finding(
-                    self.name, sf, t.line,
-                    f"iostream ({t.text}) {self.where(fd)}; hot paths do "
-                    f"not do I/O"))
-
-
-@register
-class HotNoThrow(HotPathRule):
-    name = "hot-no-throw"
-    help = ("no throw and no throwing std calls (at/value/stoi...) reachable "
-            "from a CPT_HOT root; hot-path failures are CPT_CHECK aborts, "
-            "not exceptions")
-
-    # Member calls that throw on the failure path.
-    THROWING_MEMBERS = {"at", "value"}
-    # Free std conversions that throw on bad input.
-    THROWING_CALLS = {"stoi", "stol", "stoll", "stoul", "stoull",
-                      "stof", "stod", "stold"}
-
-    def check_hot_body(self, sf, toks, fd, hot, findings):
-        for i in range(fd.start + 1, fd.end):
-            t = toks[i]
-            if t.kind != "id":
-                continue
-            prev = toks[i - 1].text if i > 0 else ""
-            nxt = toks[i + 1].text if i + 1 < len(toks) else ""
-            if t.text == "throw":
-                findings.append(Finding(
-                    self.name, sf, t.line,
-                    f"throw {self.where(fd)}; use CPT_CHECK/CPT_DCHECK — "
-                    f"the replay loop is noexcept territory"))
-            elif (t.text in self.THROWING_MEMBERS and prev in (".", "->")
-                    and nxt == "("):
-                findings.append(Finding(
-                    self.name, sf, t.line,
-                    f".{t.text}() {self.where(fd)} throws on the failure "
-                    f"path; use operator[]/operator* after a CPT_DCHECK"))
-            elif t.text in self.THROWING_CALLS and nxt == "(":
-                findings.append(Finding(
-                    self.name, sf, t.line,
-                    f"std::{t.text}() {self.where(fd)} throws on bad input; "
-                    f"parse in cold setup code"))
-
-
-@register
-class HotLockDiscipline(HotPathRule):
-    name = "hot-lock-discipline"
-    help = ("locks reachable from a CPT_HOT root must carry an adjacent "
-            "'// hot-lock:' justification and live in the growth-gated "
-            "ledger; bare blocking calls never pass")
-
-    exclude = HOT_BOUNDARY_GLOBS
-
-    # Never acceptable on a hot path, justified or not.
-    BARE_BLOCKING = {"sleep", "usleep", "nanosleep", "sleep_for",
-                     "sleep_until", "join", "wait", "wait_for", "wait_until"}
-    ADJACENT_LINES = 2
-
-    def check_hot_body(self, sf, toks, fd, hot, findings):
-        justified = set()
-        for c in sf.comments:
-            if "hot-lock:" in c.text:
-                justified.update(range(c.line, c.end_line + self.ADJACENT_LINES + 1))
-        for i in range(fd.start + 1, fd.end):
-            t = toks[i]
-            if t.kind != "id":
-                continue
-            prev = toks[i - 1].text if i > 0 else ""
-            nxt = toks[i + 1].text if i + 1 < len(toks) else ""
-            if (t.text in self.BARE_BLOCKING and nxt == "("):
-                findings.append(Finding(
-                    self.name, sf, t.line,
-                    f"blocking call {t.text}() {self.where(fd)}; a hot path "
-                    f"never sleeps or joins"))
-            elif t.text in HotAnalysis.LOCK_WRAPPERS or (
-                    t.text in HotAnalysis.LOCK_METHODS and prev in (".", "->")
-                    and nxt == "("):
-                if t.line in justified:
-                    continue  # budgeted: ledger growth-gates these sites
-                findings.append(Finding(
-                    self.name, sf, t.line,
-                    f"lock acquisition ({t.text}) {self.where(fd)} without "
-                    f"an adjacent '// hot-lock:' justification; state why "
-                    f"the critical section is bounded (the site is budgeted "
-                    f"in tools/hotpath_debt.json either way)"))
+        return [Finding(self.name, sf, line,
+                        f"suppression names unknown rule '{rule}'; fix the "
+                        f"name or delete the comment")
+                for line, rule in sf.unknown_suppressions]
 
 
 # ---------------------------------------------------------------------------
@@ -2028,69 +1350,26 @@ def collect_source_files(root=REPO_ROOT, roots=LINT_ROOTS):
     return out
 
 
-def _lint_one_file(sf, project, rule_names, ignore_scope):
-    """Findings plus per-rule wall time (seconds) for one file."""
-    findings = []
-    timing = Counter()
-    for name, rule in RULES.items():
-        if rule_names is not None and name not in rule_names:
-            continue
-        if not ignore_scope and not rule.applies(sf.rel):
-            continue
-        t0 = time.perf_counter()
-        for f in rule.check(sf, project):
-            if not sf.suppressed(f.rule, f.line):
-                findings.append(f)
-        timing[name] += time.perf_counter() - t0
-    return findings, timing
-
-
-# Worker context for --jobs: set before forking so children inherit the
-# parsed files and project instead of repickling them per task.
-_FORK_CTX = None
-
-
-def _lint_file_at(index):
-    files, project, rule_names, ignore_scope = _FORK_CTX
-    return _lint_one_file(files[index], project, rule_names, ignore_scope)
-
-
-HOT_RULES = ("hot-no-alloc", "hot-no-throw", "hot-lock-discipline")
-
-
-def run_rules(files, project, rule_names=None, ignore_scope=False, jobs=1,
+def run_rules(files, project, rule_names=None, ignore_scope=False,
               rule_timing=None):
     findings = []
     timing = Counter()
-    if rule_names is None or set(rule_names) & set(HOT_RULES):
-        # Build the call graph (and the per-file function-span caches it
-        # fills in) before any fork, so --jobs workers inherit one shared
-        # analysis instead of recomputing it per child.
-        project.ensure_hot_analysis()
-    if jobs > 1 and len(files) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        global _FORK_CTX
-        _FORK_CTX = (files, project, rule_names, ignore_scope)
-        try:
-            with multiprocessing.get_context("fork").Pool(min(jobs, len(files))) as pool:
-                for file_findings, file_timing in pool.map(
-                        _lint_file_at, range(len(files))):
-                    findings.extend(file_findings)
-                    timing.update(file_timing)
-        finally:
-            _FORK_CTX = None
-    else:
-        for sf in files:
-            file_findings, file_timing = _lint_one_file(
-                sf, project, rule_names, ignore_scope)
-            findings.extend(file_findings)
-            timing.update(file_timing)
+    for sf in files:
+        for name, rule in RULES.items():
+            if rule_names is not None and name not in rule_names:
+                continue
+            if not ignore_scope and not rule.applies(sf.rel):
+                continue
+            t0 = time.perf_counter()
+            for f in rule.check(sf, project):
+                if not sf.suppressed(f.rule, f.line):
+                    findings.append(f)
+            timing[name] += time.perf_counter() - t0
     if rule_timing is not None:
-        # Shared-infrastructure entries alongside the per-rule ones: the
-        # one-shot tokenize/function-span cost per file, and the one-shot
-        # whole-program call-graph build.  Rules that reuse the caches show
-        # up cheap here because the cost is accounted once, not per rule.
+        # The one-shot tokenize/function-span cost per file sits alongside
+        # the per-rule entries: rules that reuse the caches show up cheap
+        # because the cost is accounted once, not per rule.
         timing["file-parse"] += sum(sf.parse_seconds for sf in files)
-        timing["hot-call-graph"] += project.hot_prepare_seconds
         rule_timing.update(timing)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
@@ -2179,10 +1458,10 @@ def apply_spans_to_line(sf, finding):
 
 
 def main(argv=None):
-    """Exit codes: 0 clean, 1 findings/debt growth, 2 internal error.
+    """Exit codes: 0 clean, 1 findings, 2 internal error.
 
     Anything that stops the lint itself — an unreadable input, undecodable
-    bytes, a malformed baseline/ledger — is an internal error (2), distinct
+    bytes, a malformed baseline — is an internal error (2), distinct
     from "the tree has findings" (1) so CI scripts and pre-commit hooks can
     tell a broken run from a failing one.  (argparse uses 2 for usage
     errors already, consistent with this.)
@@ -2214,25 +1493,13 @@ def _main(argv=None):
                         help="dump enums/name tables under src/ as JSON and exit")
     parser.add_argument("--sarif", metavar="PATH",
                         help="also write new findings (all rules) as SARIF 2.1.0")
-    parser.add_argument("--hot-debt", default=str(DEFAULT_HOT_DEBT),
-                        help="devirtualization-debt ledger file")
-    parser.add_argument("--write-hot-debt", action="store_true",
-                        help="regenerate the hot-path debt ledger and exit")
-    parser.add_argument("--check-hot-debt", action="store_true",
-                        help="gate the debt ledger against growth and exit")
-    parser.add_argument("--hot-debt-report", action="store_true",
-                        help="print the detailed debt report as JSON and exit")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--rules", help="comma-separated subset of rules to run")
     parser.add_argument("--ignore-scope", action="store_true",
                         help="run every rule on every file (fixture tests)")
     parser.add_argument("--root", default=str(REPO_ROOT),
                         help="repository root (for relative paths and guards)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="lint files with N processes (0 = cpu count)")
     args = parser.parse_args(argv)
-    if args.jobs == 0:
-        args.jobs = os.cpu_count() or 1
 
     if args.list_rules:
         for name, rule in sorted(RULES.items()):
@@ -2261,25 +1528,9 @@ def _main(argv=None):
         if unknown:
             parser.error(f"unknown rules: {', '.join(sorted(unknown))}")
 
-    if args.write_hot_debt or args.check_hot_debt or args.hot_debt_report:
-        analysis = project.ensure_hot_analysis()
-        if args.hot_debt_report:
-            print(json.dumps(debt_report(analysis), indent=2))
-            return 0
-        if args.write_hot_debt:
-            payload = debt_payload(analysis)
-            Path(args.hot_debt).write_text(
-                json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-            print(f"hot-debt ledger written: "
-                  f"{sum(payload['virtual_sites'].values())} virtual call "
-                  f"sites, {sum(payload['hot_lock_sites'].values())} lock "
-                  f"sites -> {args.hot_debt}")
-            return 0
-        return check_debt(analysis, args.hot_debt)
-
     rule_timing = Counter()
     findings = run_rules(files, project, rule_names, args.ignore_scope,
-                         jobs=args.jobs, rule_timing=rule_timing)
+                         rule_timing=rule_timing)
     baseline = Counter() if args.no_baseline else load_baseline(args.baseline)
     new, grandfathered, stale = split_by_baseline(findings, baseline)
 
@@ -2298,7 +1549,7 @@ def _main(argv=None):
             project = Project(files)
             rule_timing = Counter()
             findings = run_rules(files, project, rule_names, args.ignore_scope,
-                                 jobs=args.jobs, rule_timing=rule_timing)
+                                 rule_timing=rule_timing)
             new, grandfathered, stale = split_by_baseline(findings, baseline)
 
     if args.sarif:

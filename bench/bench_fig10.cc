@@ -17,7 +17,7 @@ using sim::PtKind;
 using sim::Report;
 
 int main(int argc, char** argv) {
-  bench::BenchIo io("bench_fig10", &argc, argv);
+  bench::BenchIo io("bench_fig10", argc, argv);
   std::printf(
       "=== Figure 10: page table size with superpage/partial-subblock PTEs ===\n"
       "    (normalized to conventional hashed page table size)\n\n");

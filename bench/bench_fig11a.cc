@@ -5,7 +5,7 @@
 int main(int argc, char** argv) {
   using cpt::bench::Fig11Series;
   using cpt::sim::PtKind;
-  cpt::bench::BenchIo io("bench_fig11a", &argc, argv);
+  cpt::bench::BenchIo io("bench_fig11a", argc, argv);
   cpt::bench::RunFig11(
       io, "=== Figure 11a: single-page-size TLB ===", cpt::sim::TlbKind::kSinglePage,
       {

@@ -8,7 +8,7 @@
 int main(int argc, char** argv) {
   using cpt::bench::Fig11Series;
   using cpt::sim::PtKind;
-  cpt::bench::BenchIo io("bench_fig11b", &argc, argv);
+  cpt::bench::BenchIo io("bench_fig11b", argc, argv);
   cpt::bench::RunFig11(
       io, "=== Figure 11b: superpage TLB (4KB + 64KB) ===", cpt::sim::TlbKind::kSuperpage,
       {

@@ -9,7 +9,7 @@
 int main(int argc, char** argv) {
   using cpt::bench::Fig11Series;
   using cpt::sim::PtKind;
-  cpt::bench::BenchIo io("bench_fig11c", &argc, argv);
+  cpt::bench::BenchIo io("bench_fig11c", argc, argv);
   cpt::bench::RunFig11(
       io, "=== Figure 11c: partial-subblock TLB (subblock factor 16) ===",
       cpt::sim::TlbKind::kPartialSubblock,

@@ -7,7 +7,7 @@
 int main(int argc, char** argv) {
   using cpt::bench::Fig11Series;
   using cpt::sim::PtKind;
-  cpt::bench::BenchIo io("bench_fig11d", &argc, argv);
+  cpt::bench::BenchIo io("bench_fig11d", argc, argv);
   cpt::bench::RunFig11(
       io, "=== Figure 11d: complete-subblock TLB (subblock factor 16, prefetch) ===",
       cpt::sim::TlbKind::kCompleteSubblock,

@@ -15,7 +15,7 @@ using sim::PtKind;
 using sim::Report;
 
 int main(int argc, char** argv) {
-  bench::BenchIo io("bench_fig9", &argc, argv);
+  bench::BenchIo io("bench_fig9", argc, argv);
   std::printf("=== Figure 9: page table size, single page size (normalized to hashed) ===\n\n");
 
   const sim::SizeConfig kConfigs[] = {

@@ -15,8 +15,9 @@
 //                   obs::IntervalSnapshotter; windows also render as
 //                   Perfetto counter tracks when --perfetto is given
 //
-// All flags are parsed and *removed* from argv, so a bench's own argument
-// parsing never sees them.  With no flags, Hooks() returns empty hooks, no
+// No bench takes arguments of its own, so any other argument exits 2 with a
+// usage message naming it: a misspelled flag must not run the bench without
+// the report it asked for.  With no flags, Hooks() returns empty hooks, no
 // tracer is ever attached, and the bench's text output is bit-identical to
 // the pre-telemetry binaries.
 //
@@ -37,6 +38,13 @@
 // and the aggregate "throughput" section; per-layer host time is
 // perfbench/'s job.  Simulated values are unchanged from v4.
 //
+// Schema v6: the report's "metrics" section and the time-series windows'
+// "metrics" deltas are gone (both re-encoded entries[*].attribution).  The
+// report envelope, the trace header line and the time-series header line
+// carry "event_kinds", the wire names of every obs::EventKind, which
+// validators check every "events" key against.  Simulated values are
+// unchanged from v5.
+//
 // Error handling: an unopenable path, a malformed flag, or a stream that
 // goes bad while writing all terminate the bench with a nonzero exit and a
 // message naming the file — a truncated report must never look like success.
@@ -54,7 +62,6 @@
 #include "common/parse.h"
 #include "obs/attribution.h"
 #include "obs/json_writer.h"
-#include "obs/metrics.h"
 #include "obs/perfetto.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
@@ -70,49 +77,47 @@ namespace cpt::bench {
 // v3: concurrency section (lock-contention sites), striped-insert option.
 // v4: v3's additions removed; degraded host counters omit counters/derived.
 // v5: host counters and timing.phases removed; timing is wall-clock only.
-inline constexpr std::uint64_t kBenchSchemaVersion = 5;
+// v6: "metrics" sections removed; headers carry "event_kinds".
+inline constexpr std::uint64_t kBenchSchemaVersion = 6;
 
 // Default time-series window width, in simulated references.
 inline constexpr std::uint64_t kDefaultTimeseriesWindow = 8192;
 
 class BenchIo {
  public:
-  // Parses --json=<path> / --trace=<path> / --perfetto=<path> out of argv
-  // (compacting it and updating *argc).  A malformed flag (missing =path)
-  // aborts with usage.
-  BenchIo(std::string bench_name, int* argc, char** argv)
+  // Parses the telemetry flags in argv.  A malformed flag (missing =path)
+  // or any other argument exits 2 with usage.
+  BenchIo(std::string bench_name, int argc, char** argv)
       : bench_name_(std::move(bench_name)) {
     std::string json_path;
     std::string trace_path;
     std::string perfetto_path;
     std::string timeseries_path;
     std::uint64_t timeseries_window = kDefaultTimeseriesWindow;
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
-      if (arg.rfind("--json", 0) == 0 &&
-          (arg.size() == 6 || arg[6] == '=')) {
+      if (IsFlag(arg, "--json")) {
         json_path = RequireValue(arg, "--json");
-      } else if (arg.rfind("--trace", 0) == 0 &&
-                 (arg.size() == 7 || arg[7] == '=')) {
+      } else if (IsFlag(arg, "--trace")) {
         trace_path = RequireValue(arg, "--trace");
-      } else if (arg.rfind("--perfetto", 0) == 0 &&
-                 (arg.size() == 10 || arg[10] == '=')) {
+      } else if (IsFlag(arg, "--perfetto")) {
         perfetto_path = RequireValue(arg, "--perfetto");
-      } else if (arg.rfind("--timeseries-window", 0) == 0 &&
-                 (arg.size() == 19 || arg[19] == '=')) {
+      } else if (IsFlag(arg, "--timeseries-window")) {
         timeseries_window = ParseU64OrExit("--timeseries-window",
                                            RequireValue(arg, "--timeseries-window"), 1,
                                            sim::kMaxTraceLength);
-      } else if (arg.rfind("--timeseries", 0) == 0 &&
-                 (arg.size() == 12 || arg[12] == '=')) {
+      } else if (IsFlag(arg, "--timeseries")) {
         timeseries_path = RequireValue(arg, "--timeseries");
       } else {
-        argv[out++] = argv[i];
+        std::fprintf(stderr,
+                     "%s: unknown argument '%.*s'\n"
+                     "usage: %s [--json=<path>] [--trace=<path>] [--perfetto=<path>]"
+                     " [--timeseries=<path>] [--timeseries-window=<refs>]\n",
+                     bench_name_.c_str(), static_cast<int>(arg.size()), arg.data(),
+                     bench_name_.c_str());
+        std::exit(2);
       }
     }
-    *argc = out;
-    argv[*argc] = nullptr;
 
     if (!perfetto_path.empty()) {
       perfetto_path_ = perfetto_path;
@@ -136,6 +141,7 @@ class BenchIo {
       w.KV("schema", "cpt-bench-trace");
       w.KV("schema_version", kBenchSchemaVersion);
       w.KV("bench", bench_name_);
+      WriteEventKinds(w);
       w.EndObject();
       trace_os_ << '\n';
     }
@@ -150,6 +156,7 @@ class BenchIo {
       writer_->KV("schema", "cpt-bench-report");
       writer_->KV("schema_version", kBenchSchemaVersion);
       writer_->KV("bench", bench_name_);
+      WriteEventKinds(*writer_);
       // Non-zero when CPT_TRACE_LEN shortened the runs (CI small presets).
       writer_->KV("trace_len_override", sim::TraceLengthFromEnv(0));
       writer_->Key("entries");
@@ -162,7 +169,7 @@ class BenchIo {
         Die("cannot open timeseries file", timeseries_path);
       }
       snapshotter_ = std::make_unique<obs::IntervalSnapshotter>(
-          timeseries_window, &metrics_, perfetto_.get());
+          timeseries_window, perfetto_.get());
       obs::JsonWriter w(timeseries_os_, /*pretty=*/false);
       w.BeginObject();
       w.KV("type", "header");
@@ -170,6 +177,7 @@ class BenchIo {
       w.KV("schema_version", kBenchSchemaVersion);
       w.KV("bench", bench_name_);
       w.KV("window_refs", timeseries_window);
+      WriteEventKinds(w);
       w.EndObject();
       timeseries_os_ << '\n';
     }
@@ -184,10 +192,6 @@ class BenchIo {
   ~BenchIo() {
     if (writer_ != nullptr) {
       writer_->EndArray();
-      if (!metrics_.empty()) {
-        writer_->Key("metrics");
-        metrics_.ToJson(*writer_);
-      }
       // Aggregate simulated-reference throughput over every recorded
       // access run.
       writer_->Key("throughput");
@@ -262,12 +266,6 @@ class BenchIo {
       writer_->Key("measurement");
       sim::ToJson(*writer_, m);
       writer_->EndObject();
-      if (m.telemetry_valid) {
-        obs::ExportTo(metrics_, m.attribution,
-                      {{"series", std::string(series)},
-                       {"workload", m.workload},
-                       {"pt", sim::ToString(m.options.pt_kind)}});
-      }
     }
     AddThroughput(m.trace_refs, m.wall_seconds);
     FlushTraceSection("access", series, m.workload, m.rng_seed, m.options);
@@ -317,6 +315,12 @@ class BenchIo {
   }
 
  private:
+  // True for `flag` alone or `flag=<value>`.
+  static bool IsFlag(std::string_view arg, std::string_view flag) {
+    return arg.substr(0, flag.size()) == flag &&
+           (arg.size() == flag.size() || arg[flag.size()] == '=');
+  }
+
   static std::string RequireValue(std::string_view arg, std::string_view flag) {
     const std::size_t eq = arg.find('=');
     if (eq == std::string_view::npos || eq + 1 == arg.size()) {
@@ -325,6 +329,17 @@ class BenchIo {
       std::exit(2);
     }
     return std::string(arg.substr(eq + 1));
+  }
+
+  // The wire names of every obs::EventKind, in enum order, so a document
+  // names the event kinds its "events" counts may use.
+  static void WriteEventKinds(obs::JsonWriter& w) {
+    w.Key("event_kinds");
+    w.BeginArray();
+    for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
+      w.String(obs::ToString(static_cast<obs::EventKind>(k)));
+    }
+    w.EndArray();
   }
 
   // Accumulates one access run into the report's "throughput" section.
@@ -429,7 +444,6 @@ class BenchIo {
   std::unique_ptr<obs::PerfettoExporter> perfetto_;  // After perfetto_os_.
   std::unique_ptr<obs::IntervalSnapshotter> snapshotter_;  // After perfetto_.
   obs::TeeTracer tee_;  // Fans events out to every enabled consumer.
-  obs::MetricRegistry metrics_;  // Attribution instruments, dumped at exit.
   std::uint64_t throughput_refs_ = 0;      // Aggregate refs over access runs.
   double throughput_seconds_ = 0.0;        // Aggregate replay wall time.
   std::uint64_t timeseries_windows_ = 0;   // Windows written across sections.

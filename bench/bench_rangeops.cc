@@ -18,7 +18,7 @@ using namespace cpt;
 using sim::Report;
 
 int main(int argc, char** argv) {
-  bench::BenchIo io("bench_rangeops", &argc, argv);
+  bench::BenchIo io("bench_rangeops", argc, argv);
   std::printf("=== Section 3.1: page-table manipulation operations ===\n\n");
 
   mem::CacheTouchModel cache(256);

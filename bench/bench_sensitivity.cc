@@ -329,7 +329,7 @@ void DualSizeTlbNote() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchIo io("bench_sensitivity", &argc, argv);
+  bench::BenchIo io("bench_sensitivity", argc, argv);
   g_io = &io;
   std::printf("=== Sensitivity analyses and ablations (Sections 6.3 & 7) ===\n\n");
   CacheLineSweep();

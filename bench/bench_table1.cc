@@ -16,7 +16,7 @@ using namespace cpt;
 using sim::Report;
 
 int main(int argc, char** argv) {
-  bench::BenchIo io("bench_table1", &argc, argv);
+  bench::BenchIo io("bench_table1", argc, argv);
   std::printf("=== Table 1: workload characteristics ===\n\n");
   Report report({"workload", "refs", "TLB misses", "miss%", "est time in TLB", "hashed PT",
                  "paper PT"});

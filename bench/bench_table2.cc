@@ -28,7 +28,7 @@ std::vector<Vpn> AllMappedPages(const workload::Snapshot& snap) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchIo io("bench_table2", &argc, argv);
+  bench::BenchIo io("bench_table2", argc, argv);
   std::printf("=== Table 2: analytic size formulae vs structural simulation ===\n\n");
   Report size_report({"workload", "hashed(sim)", "hashed(eq)", "clust(sim)", "clust(eq)",
                       "lin6(sim)", "lin6(eq)", "fwd(sim)", "fwd(eq)"});

@@ -7,27 +7,6 @@
 
 namespace cpt::obs {
 
-namespace {
-
-// Report labels of the segment classes, indexable by SegmentClass.
-constexpr const char* kSegmentClassNames[] = {
-    "text",     // kText
-    "heap",     // kHeap
-    "data",     // kData
-    "mmap",     // kMmap
-    "stack",    // kStack
-    "unknown",  // kUnknown
-};
-static_assert(std::size(kSegmentClassNames) == kSegmentClassCount,
-              "every SegmentClass needs a report label, in enum order");
-
-}  // namespace
-
-const char* ToString(SegmentClass cls) {
-  const auto idx = static_cast<std::size_t>(cls);
-  return idx < kSegmentClassCount ? kSegmentClassNames[idx] : "?";
-}
-
 void SegmentMap::Add(std::uint16_t asid, Vpn begin_vpn, Vpn end_vpn, SegmentClass cls) {
   CPT_CHECK(begin_vpn <= end_vpn);
   if (begin_vpn == end_vpn) {
@@ -164,7 +143,7 @@ void AttributionTracer::Record(const WalkEvent& event) {
 
   // Only the walk-service protocol events drive the state machine; the
   // remaining kinds (promotions, grants, ...) are passed through untouched.
-  switch (event.kind) {  // cpt-lint: allow(exhaustive-enum-switch)
+  switch (event.kind) {
     case EventKind::kTlbMiss:
     case EventKind::kTlbBlockMiss:
     case EventKind::kTlbSubblockMiss:
@@ -194,7 +173,13 @@ void AttributionTracer::Record(const WalkEvent& event) {
         pending_commit_ = true;
       }
       break;
-    default:
+    case EventKind::kTlbHit:
+    case EventKind::kPageFault:
+    case EventKind::kPtePromotion:
+    case EventKind::kBlockPrefetch:
+    case EventKind::kReservationGrant:
+    case EventKind::kSwTlbHit:
+    case EventKind::kSwTlbMiss:
       break;
   }
   if (forward_ != nullptr) {
@@ -267,22 +252,6 @@ void ToJson(JsonWriter& w, const AttributionResult& r) {
   w.Key("by_outcome");
   CellsToJson(w, r.by_outcome);
   w.EndObject();
-}
-
-void ExportTo(MetricRegistry& registry, const AttributionResult& r,
-              const MetricRegistry::Labels& base_labels) {
-  auto emit = [&](const char* dim, const std::vector<AttributionCell>& cells) {
-    for (const AttributionCell& c : cells) {
-      MetricRegistry::Labels labels = base_labels;
-      labels.emplace_back("dim", dim);
-      labels.emplace_back("value", c.label);
-      registry.Counter("attribution_walks", labels) += c.walks;
-      registry.Counter("attribution_lines", labels) += c.lines;
-    }
-  };
-  emit("segment", r.by_segment);
-  emit("page_class", r.by_page_class);
-  emit("outcome", r.by_outcome);
 }
 
 }  // namespace cpt::obs

@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "common/enum_names.h"
 #include "obs/trace.h"
 
 namespace cpt::obs {
@@ -48,9 +48,27 @@ enum class SegmentClass : std::uint8_t {
   kUnknown,
 };
 inline constexpr std::size_t kSegmentClassCount = 6;
-static_assert(static_cast<std::size_t>(SegmentClass::kUnknown) + 1 == kSegmentClassCount,
-              "kSegmentClassCount must track the last SegmentClass enumerator");
-const char* ToString(SegmentClass cls);
+
+// Report label of each segment class (a by_segment cell's "label").
+constexpr const char* ToString(SegmentClass cls) {
+  switch (cls) {
+    case SegmentClass::kText:
+      return "text";
+    case SegmentClass::kHeap:
+      return "heap";
+    case SegmentClass::kData:
+      return "data";
+    case SegmentClass::kMmap:
+      return "mmap";
+    case SegmentClass::kStack:
+      return "stack";
+    case SegmentClass::kUnknown:
+      return "unknown";
+  }
+  return kUnnamed;
+}
+static_assert(NamesExactly<SegmentClass>(kSegmentClassCount),
+              "kSegmentClassCount must equal the number of named SegmentClasses");
 
 // Maps (asid, vpn) to a SegmentClass through a set of half-open VPN ranges.
 // Built once per measurement from the workload spec; lookup is a binary
@@ -101,12 +119,6 @@ struct AttributionResult {
 // Emits one JSON object: {walks, lines, steps, by_segment: [...], ...} with
 // per-cell lines_per_walk convenience ratios.
 void ToJson(JsonWriter& w, const AttributionResult& r);
-
-// Materializes the breakdown as labeled registry instruments:
-//   attribution_walks{dim=..., value=..., <base labels>}
-//   attribution_lines{dim=..., value=..., <base labels>}
-void ExportTo(MetricRegistry& registry, const AttributionResult& r,
-              const MetricRegistry::Labels& base_labels);
 
 // Streams walk events into the per-dimension tables.  Forwarding tracer like
 // StatsTracer: pass-through to `forward` keeps one event stream feeding the

@@ -184,4 +184,20 @@ std::string JsonWriter::Escape(std::string_view s) {
   return out;
 }
 
+void HistogramToJson(JsonWriter& w, const Histogram& h) {
+  w.BeginObject();
+  w.KV("total", h.total());
+  w.KV("mean", h.mean());
+  w.KV("overflow", h.overflow());
+  w.Key("counts");
+  w.BeginObject();
+  for (std::size_t v = 0; v <= h.max_value(); ++v) {
+    if (h.count(v) != 0) {
+      w.KV(std::to_string(v), h.count(v));
+    }
+  }
+  w.EndObject();
+  w.EndObject();
+}
+
 }  // namespace cpt::obs

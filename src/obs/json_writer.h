@@ -1,6 +1,6 @@
 // Hand-rolled streaming JSON emitter — the serialization backbone of the
-// telemetry layer (bench --json documents, trace JSONL records, registry
-// dumps).  No external dependencies: the repo's rule is that observability
+// telemetry layer (bench --json documents, trace JSONL records, time-series
+// windows).  No external dependencies: the repo's rule is that observability
 // must not pull a JSON library into the simulator's build.
 //
 // The writer is a push-down automaton over object/array nesting: it inserts
@@ -18,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/stats.h"
 #include "common/types.h"
 
 namespace cpt::obs {
@@ -83,6 +84,9 @@ class JsonWriter {
   bool expect_value_ = false;      // A Key() was emitted, value pending.
   bool done_ = false;              // One complete top-level value written.
 };
+
+// Shared histogram serialization: {"total","mean","overflow","counts":{...}}.
+void HistogramToJson(JsonWriter& w, const Histogram& h);
 
 }  // namespace cpt::obs
 

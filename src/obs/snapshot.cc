@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "obs/json_writer.h"
-#include "obs/metrics.h"
 #include "obs/perfetto.h"
 
 namespace cpt::obs {
@@ -13,26 +12,6 @@ bool IsReference(EventKind kind) {
   // Machine::Access publishes exactly one TLB probe event per reference.
   return kind == EventKind::kTlbHit || kind == EventKind::kTlbMiss ||
          kind == EventKind::kTlbBlockMiss || kind == EventKind::kTlbSubblockMiss;
-}
-
-std::string RenderedName(const std::string& name, const MetricRegistry::Labels& labels) {
-  if (labels.empty()) {
-    return name;
-  }
-  std::string out = name;
-  out += '{';
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += k;
-    out += '=';
-    out += v;
-  }
-  out += '}';
-  return out;
 }
 
 }  // namespace
@@ -47,15 +26,9 @@ double IntervalSnapshotter::Window::LinesPerMiss() const {
 }
 
 IntervalSnapshotter::IntervalSnapshotter(std::uint64_t window_refs,
-                                         const MetricRegistry* registry,
                                          PerfettoExporter* perfetto)
-    : window_refs_(window_refs), registry_(registry), perfetto_(perfetto) {
+    : window_refs_(window_refs), perfetto_(perfetto) {
   CPT_CHECK(window_refs_ > 0, "IntervalSnapshotter window must be at least one reference");
-  if (registry_ != nullptr) {
-    registry_->ForEachCounter(
-        [this](const std::string& name, const MetricRegistry::Labels& labels,
-               std::uint64_t value) { registry_base_[RenderedName(name, labels)] = value; });
-  }
 }
 
 void IntervalSnapshotter::Record(const WalkEvent& event) {
@@ -92,17 +65,10 @@ void IntervalSnapshotter::Reset() {
   windows_.clear();
   current_ = Window{};
   finished_ = false;
-  if (registry_ != nullptr) {
-    registry_base_.clear();
-    registry_->ForEachCounter(
-        [this](const std::string& name, const MetricRegistry::Labels& labels,
-               std::uint64_t value) { registry_base_[RenderedName(name, labels)] = value; });
-  }
 }
 
 void IntervalSnapshotter::CloseWindow() {
   current_.index = windows_.empty() ? 0 : windows_.back().index + 1;
-  SampleRegistry(current_);
   if (perfetto_ != nullptr) {
     perfetto_->CounterTrack(
         "window", {{"miss_rate", current_.MissRate()},
@@ -117,20 +83,6 @@ void IntervalSnapshotter::CloseWindow() {
   current_ = Window{};
   current_.index = next_index;
   current_.start_ref = total_refs_;
-}
-
-void IntervalSnapshotter::SampleRegistry(Window& w) {
-  if (registry_ == nullptr) {
-    return;
-  }
-  registry_->ForEachCounter([this, &w](const std::string& name,
-                                       const MetricRegistry::Labels& labels,
-                                       std::uint64_t value) {
-    const std::string key = RenderedName(name, labels);
-    auto [it, inserted] = registry_base_.try_emplace(key, 0);
-    w.metric_deltas.emplace_back(key, value - it->second);
-    it->second = value;
-  });
 }
 
 void IntervalSnapshotter::WriteJsonl(std::ostream& os) const {
@@ -154,14 +106,6 @@ void IntervalSnapshotter::WriteJsonl(std::ostream& os) const {
         }
       }
       w.EndObject();
-      if (!win.metric_deltas.empty()) {
-        w.Key("metrics");
-        w.BeginObject();
-        for (const auto& [name, delta] : win.metric_deltas) {
-          w.KV(name, delta);
-        }
-        w.EndObject();
-      }
       w.EndObject();
     }
     os << '\n';

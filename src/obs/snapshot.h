@@ -21,9 +21,7 @@
 // Output: WriteJsonl() emits one compact JSON object per window; windows
 // also stream to a PerfettoExporter counter track when one is attached, so
 // miss-rate/lines-per-miss curves render in ui.perfetto.dev next to the
-// event tracks.  Optionally, counter instruments of a MetricRegistry are
-// sampled at each boundary and their per-window deltas recorded alongside
-// the event deltas.
+// event tracks.
 //
 // Like every tracer, the snapshotter observes and never steers: simulated
 // metrics are bit-identical with and without one attached (pinned by
@@ -32,16 +30,13 @@
 #define CPT_OBS_SNAPSHOT_H_
 
 #include <cstdint>
-#include <map>
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "obs/trace.h"
 
 namespace cpt::obs {
 
-class MetricRegistry;
 class PerfettoExporter;
 
 class IntervalSnapshotter final : public WalkTracer {
@@ -53,10 +48,6 @@ class IntervalSnapshotter final : public WalkTracer {
                                   // for the final partial window).
     std::uint64_t lines = 0;      // Cache lines touched by counted walks.
     EventCounts events;           // Per-kind event deltas.
-    // Per-window deltas of the polled registry's counter instruments, keyed
-    // by rendered instrument name ("name{k=v,...}"); empty when no registry
-    // is attached.  Every counter appears every window, including zeros.
-    std::vector<std::pair<std::string, std::uint64_t>> metric_deltas;
 
     std::uint64_t Misses() const { return events.TlbMisses(); }
     double MissRate() const;      // Misses / refs (0 for an empty window).
@@ -64,13 +55,11 @@ class IntervalSnapshotter final : public WalkTracer {
   };
 
   // `window_refs` is the window width in simulated references (> 0).
-  // `registry`, when given, has its counter instruments delta-sampled at
-  // every window boundary.  `perfetto`, when given, receives one counter-
-  // track sample per closed window at the exporter's current logical time
-  // (attach the snapshotter AFTER the exporter in a TeeTracer so the
-  // logical clock has advanced past the boundary event).
+  // `perfetto`, when given, receives one counter-track sample per closed
+  // window at the exporter's current logical time (attach the snapshotter
+  // AFTER the exporter in a TeeTracer so the logical clock has advanced past
+  // the boundary event).
   explicit IntervalSnapshotter(std::uint64_t window_refs,
-                               const MetricRegistry* registry = nullptr,
                                PerfettoExporter* perfetto = nullptr);
 
   void Record(const WalkEvent& event) override;
@@ -81,7 +70,7 @@ class IntervalSnapshotter final : public WalkTracer {
 
   // Clears windows and counters for the next measurement section.  The
   // global reference counter keeps running (start_ref stays monotonic
-  // across sections) and the registry baseline re-snapshots.
+  // across sections).
   void Reset();
 
   std::uint64_t window_refs() const { return window_refs_; }
@@ -90,23 +79,19 @@ class IntervalSnapshotter final : public WalkTracer {
 
   // One compact JSON object per window:
   //   {"type":"window","window":i,"start_ref":..,"refs":..,"lines":..,
-  //    "miss_rate":..,"lines_per_miss":..,"events":{...},"metrics":{...}}
+  //    "miss_rate":..,"lines_per_miss":..,"events":{...}}
   void WriteJsonl(std::ostream& os) const;
 
  private:
   void CloseWindow();
-  void SampleRegistry(Window& w);
 
   std::uint64_t window_refs_;
-  const MetricRegistry* registry_;
   PerfettoExporter* perfetto_;
 
   std::vector<Window> windows_;
   Window current_;
   std::uint64_t total_refs_ = 0;  // Global (cross-section) reference count.
   bool finished_ = false;
-  // Last-seen registry counter values, for delta sampling.
-  std::map<std::string, std::uint64_t> registry_base_;
 };
 
 }  // namespace cpt::obs

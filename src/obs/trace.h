@@ -30,6 +30,7 @@
 #include <ostream>
 #include <vector>
 
+#include "common/enum_names.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -54,34 +55,46 @@ enum class EventKind : std::uint8_t {
 };
 inline constexpr std::size_t kEventKindCount = 14;
 
-static_assert(static_cast<std::size_t>(EventKind::kSwTlbMiss) + 1 == kEventKindCount,
-              "kEventKindCount must track the last EventKind enumerator");
-
-// JSON names of the event kinds, indexable by EventKind.  This array is the
-// single source of truth for the wire format: ToString() indexes it, and
-// tools/cpt_lint.py --export-enums parses this initializer so Python-side
-// validators (tools/check_bench_json.py) cannot drift from the enum.  Keep
-// one quoted name per kind, in enum order; the static_asserts pin both ends.
-inline constexpr const char* kEventKindNames[] = {
-    "tlb_hit",           // kTlbHit
-    "tlb_miss",          // kTlbMiss
-    "tlb_block_miss",    // kTlbBlockMiss
-    "tlb_subblock_miss", // kTlbSubblockMiss
-    "walk_step",         // kWalkStep
-    "walk_hit",          // kWalkHit
-    "walk_end",          // kWalkEnd
-    "walk_abort",        // kWalkAbort
-    "page_fault",        // kPageFault
-    "pte_promotion",     // kPtePromotion
-    "block_prefetch",    // kBlockPrefetch
-    "reservation_grant", // kReservationGrant
-    "swtlb_hit",         // kSwTlbHit
-    "swtlb_miss",        // kSwTlbMiss
-};
-static_assert(std::size(kEventKindNames) == kEventKindCount,
-              "every EventKind needs a JSON wire name, in enum order");
-
-const char* ToString(EventKind kind);
+// JSON wire name of each event kind: the keys of a report's "events"
+// counts, the "kind" of a trace event, and the `event_kinds` list that every
+// report, trace and time-series header carries for tools/check_bench_json.py.
+// The switch has no default, so -Werror=switch rejects a kind without a
+// name, and the static_assert ties kEventKindCount to the named kinds.
+constexpr const char* ToString(EventKind kind) {
+  switch (kind) {
+    case EventKind::kTlbHit:
+      return "tlb_hit";
+    case EventKind::kTlbMiss:
+      return "tlb_miss";
+    case EventKind::kTlbBlockMiss:
+      return "tlb_block_miss";
+    case EventKind::kTlbSubblockMiss:
+      return "tlb_subblock_miss";
+    case EventKind::kWalkStep:
+      return "walk_step";
+    case EventKind::kWalkHit:
+      return "walk_hit";
+    case EventKind::kWalkEnd:
+      return "walk_end";
+    case EventKind::kWalkAbort:
+      return "walk_abort";
+    case EventKind::kPageFault:
+      return "page_fault";
+    case EventKind::kPtePromotion:
+      return "pte_promotion";
+    case EventKind::kBlockPrefetch:
+      return "block_prefetch";
+    case EventKind::kReservationGrant:
+      return "reservation_grant";
+    case EventKind::kSwTlbHit:
+      return "swtlb_hit";
+    case EventKind::kSwTlbMiss:
+      return "swtlb_miss";
+  }
+  return kUnnamed;
+}
+static_assert(NamesExactly<EventKind>(kEventKindCount),
+              "kEventKindCount must equal the number of named EventKinds");
 
 // What kind of mapping a kWalkHit delivered, mirroring MappingKind without
 // depending on common/pte.h (obs sits below the PTE layer).
@@ -92,9 +105,23 @@ enum class WalkHitClass : std::uint8_t {
   kSwTlb,              // Served from the software TLB (TSB), any format.
 };
 inline constexpr std::size_t kWalkHitClassCount = 4;
-static_assert(static_cast<std::size_t>(WalkHitClass::kSwTlb) + 1 == kWalkHitClassCount,
-              "kWalkHitClassCount must track the last WalkHitClass enumerator");
-const char* ToString(WalkHitClass cls);
+
+// Wire name of each walk-hit class (a kWalkHit event's "class").
+constexpr const char* ToString(WalkHitClass cls) {
+  switch (cls) {
+    case WalkHitClass::kBase:
+      return "base";
+    case WalkHitClass::kSuperpage:
+      return "superpage";
+    case WalkHitClass::kPartialSubblock:
+      return "partial-subblock";
+    case WalkHitClass::kSwTlb:
+      return "swtlb";
+  }
+  return kUnnamed;
+}
+static_assert(NamesExactly<WalkHitClass>(kWalkHitClassCount),
+              "kWalkHitClassCount must equal the number of named WalkHitClasses");
 
 // kWalkHit `value` payload: the mapping class plus log2(base pages covered),
 // so attribution can split superpage hits by page size if it wants to.

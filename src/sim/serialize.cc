@@ -1,7 +1,6 @@
 #include "sim/serialize.h"
 
 #include "obs/json_writer.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace cpt::sim {

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "tlb/tlb.h"
@@ -49,10 +50,27 @@ enum class SegmentKind : std::uint8_t {
   kUnknown,
 };
 inline constexpr std::size_t kSegmentKindCount = 6;
-static_assert(static_cast<std::size_t>(SegmentKind::kUnknown) + 1 == kSegmentKindCount,
-              "kSegmentKindCount must track the last SegmentKind enumerator");
 
-const char* ToString(SegmentKind kind);
+// Spec/report label of each segment kind.
+constexpr const char* ToString(SegmentKind kind) {
+  switch (kind) {
+    case SegmentKind::kText:
+      return "text";
+    case SegmentKind::kHeap:
+      return "heap";
+    case SegmentKind::kData:
+      return "data";
+    case SegmentKind::kMmap:
+      return "mmap";
+    case SegmentKind::kStack:
+      return "stack";
+    case SegmentKind::kUnknown:
+      return "unknown";
+  }
+  return kUnnamed;
+}
+static_assert(NamesExactly<SegmentKind>(kSegmentKindCount),
+              "kSegmentKindCount must equal the number of named SegmentKinds");
 
 struct Segment {
   VirtAddr base{};          // Page-aligned start of the virtual span.

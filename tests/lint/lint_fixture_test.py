@@ -5,8 +5,7 @@ Each fixture under tests/lint/fixtures/ carries seeded contract violations;
 tests/lint/expected/<fixture>.expected lists the findings the linter must
 produce, one `line:rule` per line (empty file = the linter must stay silent,
 which is how the suppression fixture is pinned).  On top of the goldens this
-runner exercises the baseline round-trip (grandfathering silences a finding,
-a *new* finding still fails) and --fix (autofixed files re-lint clean).
+runner exercises --fix (autofixed files re-lint clean) and the exit codes.
 
 Run directly or through ctest (`lint_fixtures`).  Exits non-zero with a
 unified diff of expected-vs-actual on any mismatch.
@@ -39,7 +38,7 @@ def run_lint(*argv, cwd=REPO_ROOT):
 
 
 def lint_findings(path, *extra):
-    proc = run_lint("--ignore-scope", "--no-baseline", "--json", *extra, str(path))
+    proc = run_lint("--ignore-scope", "--json", *extra, str(path))
     try:
         data = json.loads(proc.stdout)
     except json.JSONDecodeError:
@@ -71,41 +70,13 @@ def golden_tests():
         print(f"ok   {name} ({len(want)} findings)")
 
 
-def baseline_roundtrip_test():
-    """Grandfathered findings pass; a new finding still fails."""
-    name = "baseline/roundtrip"
-    fixture = FIXTURES / "determinism.cc"
-    with tempfile.TemporaryDirectory() as tmp:
-        baseline = Path(tmp) / "baseline.json"
-        # Grandfather the current findings.
-        proc = run_lint("--ignore-scope", "--baseline", str(baseline),
-                        "--write-baseline", str(fixture))
-        if proc.returncode != 0:
-            return fail(name, f"--write-baseline failed:\n{proc.stdout}{proc.stderr}")
-        # Same file against the fresh baseline: everything grandfathered.
-        proc = run_lint("--ignore-scope", "--baseline", str(baseline), str(fixture))
-        if proc.returncode != 0:
-            return fail(name, f"grandfathered run not clean:\n{proc.stdout}")
-        if "grandfathered" not in proc.stdout:
-            return fail(name, f"expected grandfathered count in:\n{proc.stdout}")
-        # Seed one more violation: a new finding must fail despite the baseline.
-        bad = Path(tmp) / "determinism.cc"
-        bad.write_text(fixture.read_text() +
-                       "\nnamespace fx { int Extra() { return std::rand(); } }\n")
-        proc = run_lint("--ignore-scope", "--baseline", str(baseline),
-                        "--root", tmp, str(bad))
-        if proc.returncode == 0:
-            return fail(name, f"new finding slipped past the baseline:\n{proc.stdout}")
-    print(f"ok   {name}")
-
-
 def fix_test():
     """--fix rewrites raw assert()/<cassert>; the fixed file re-lints clean."""
     name = "fix/raw_assert"
     with tempfile.TemporaryDirectory() as tmp:
         victim = Path(tmp) / "raw_assert.cc"
         shutil.copy(FIXTURES / "raw_assert.cc", victim)
-        proc = run_lint("--ignore-scope", "--no-baseline", "--fix",
+        proc = run_lint("--ignore-scope", "--fix",
                         "--rules", "check-macro-hygiene",
                         "--root", tmp, str(victim))
         del proc  # Exit code reflects pre-fix findings; re-lint decides.
@@ -129,7 +100,7 @@ def nodiscard_fix_test():
     with tempfile.TemporaryDirectory() as tmp:
         victim = Path(tmp) / "nodiscard.h"
         shutil.copy(FIXTURES / "nodiscard.h", victim)
-        run_lint("--ignore-scope", "--no-baseline", "--fix",
+        run_lint("--ignore-scope", "--fix",
                  "--rules", "nodiscard-query", "--root", tmp, str(victim))
         text = victim.read_text()
         if "[[nodiscard]] Result Lookup(" not in text:
@@ -150,7 +121,7 @@ def fix_idempotency_test():
             victim = Path(tmp) / fixture
             shutil.copy(FIXTURES / fixture, victim)
             victims.append(victim)
-        args = ("--ignore-scope", "--no-baseline", "--fix", "--root", tmp,
+        args = ("--ignore-scope", "--fix", "--root", tmp,
                 *(str(v) for v in victims))
         run_lint(*args)
         first = {v.name: v.read_bytes() for v in victims}
@@ -169,10 +140,10 @@ def exit_code_test():
         clean = Path(tmp) / "clean.cc"
         clean.write_text("namespace fx {\nint Identity(int v) { return v; }\n"
                          "}  // namespace fx\n")
-        proc = run_lint("--ignore-scope", "--no-baseline", str(clean))
+        proc = run_lint("--ignore-scope", str(clean))
         if proc.returncode != 0:
             return fail(name, f"clean file exited {proc.returncode}:\n{proc.stdout}")
-        proc = run_lint("--ignore-scope", "--no-baseline",
+        proc = run_lint("--ignore-scope",
                         str(FIXTURES / "determinism.cc"))
         if proc.returncode != 1:
             return fail(name, f"findings exited {proc.returncode}, want 1")
@@ -180,31 +151,25 @@ def exit_code_test():
         # clean file, through the default (gating) path.
         stale = Path(tmp) / "stale.cc"
         stale.write_text(clean.read_text() + "// cpt-lint: allow(no-such-rule)\n")
-        proc = run_lint("--no-baseline", "--root", tmp, str(stale))
+        proc = run_lint("--root", tmp, str(stale))
         if proc.returncode != 1 or "unknown-suppression" not in proc.stdout:
             return fail(name, f"unknown-rule suppression exited "
                               f"{proc.returncode}, want 1:\n{proc.stdout}")
         # An unreadable input is an internal error, not a lint verdict.
         garbled = Path(tmp) / "garbled.cc"
         garbled.write_bytes(b"int x = \xff\xfe;\n")
-        proc = run_lint("--ignore-scope", "--no-baseline", str(garbled))
+        proc = run_lint("--ignore-scope", str(garbled))
         if proc.returncode != 2:
             return fail(name, f"unreadable input exited {proc.returncode}, want 2")
         if "internal error" not in proc.stderr:
             return fail(name, f"missing internal-error diagnostic:\n{proc.stderr}")
-        # A malformed baseline is an internal error too.
-        broken = Path(tmp) / "baseline.json"
-        broken.write_text("{not json")
-        proc = run_lint("--ignore-scope", "--baseline", str(broken), str(clean))
-        if proc.returncode != 2:
-            return fail(name, f"broken baseline exited {proc.returncode}, want 2")
     print(f"ok   {name}")
 
 
 def timing_keys_test():
     """Shared parses are accounted once, under the file-parse key."""
     name = "timing/shared-parse"
-    proc = run_lint("--ignore-scope", "--no-baseline", "--json",
+    proc = run_lint("--ignore-scope", "--json",
                     str(FIXTURES / "walk_protocol.cc"))
     data = json.loads(proc.stdout)
     timing = data.get("rule_timing_ms", {})
@@ -215,41 +180,13 @@ def timing_keys_test():
     print(f"ok   {name}")
 
 
-def sarif_output_test():
-    """--sarif emits valid SARIF 2.1.0 with stable fingerprints for findings."""
-    name = "sarif/output"
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "lint.sarif"
-        proc = run_lint("--ignore-scope", "--no-baseline", "--sarif", str(out),
-                        str(FIXTURES / "determinism.cc"))
-        if proc.returncode != 1:
-            return fail(name, f"expected findings (exit 1), got {proc.returncode}")
-        sarif = json.loads(out.read_text())
-        if sarif.get("version") != "2.1.0":
-            return fail(name, f"bad SARIF version: {sarif.get('version')}")
-        runs = sarif.get("runs") or [{}]
-        results = runs[0].get("results", [])
-        if not results:
-            return fail(name, "no SARIF results for a fixture with findings")
-        r = results[0]
-        need = {"ruleId", "message", "locations", "partialFingerprints"}
-        if not need <= set(r):
-            return fail(name, f"SARIF result missing keys: {sorted(need - set(r))}")
-        rules = {d["id"] for d in runs[0]["tool"]["driver"]["rules"]}
-        if not {x["ruleId"] for x in results} <= rules:
-            return fail(name, "SARIF results reference undeclared rules")
-    print(f"ok   {name}")
-
-
 def main():
     golden_tests()
-    baseline_roundtrip_test()
     fix_test()
     nodiscard_fix_test()
     fix_idempotency_test()
     exit_code_test()
     timing_keys_test()
-    sarif_output_test()
     if FAILURES:
         print(f"\n{len(FAILURES)} lint fixture test(s) failed")
         return 1

@@ -21,18 +21,7 @@ bool CombinationSupported(PtKind pt, TlbKind tlb) {
   // Plain hashed tables cannot store superpage/PSB PTEs (Section 4: they
   // need the two-table or superpage-index strategy).
   const bool needs_sp = tlb == TlbKind::kSuperpage || tlb == TlbKind::kPartialSubblock;
-  if (!needs_sp) {
-    return true;
-  }
-  // Intentionally non-exhaustive: this is a filter naming the unsupported
-  // organizations, not a per-kind dispatch.
-  switch (pt) {  // cpt-lint: allow(exhaustive-enum-switch)
-    case PtKind::kHashed:
-    case PtKind::kHashedInverted:
-      return false;
-    default:
-      return true;
-  }
+  return !needs_sp || (pt != PtKind::kHashed && pt != PtKind::kHashedInverted);
 }
 
 class MachineMatrixTest : public ::testing::TestWithParam<MatrixParam> {};

@@ -1,7 +1,7 @@
-// Tests for the telemetry layer (src/obs): JSON emission, the metric
-// registry, the tracer implementations, and the end-to-end guarantee the
-// benches rely on — that the events a Machine publishes agree with the
-// simulated counters they mirror.
+// Tests for the telemetry layer (src/obs): JSON emission, the tracer
+// implementations, and the end-to-end guarantee the benches rely on — that
+// the events a Machine publishes agree with the simulated counters they
+// mirror.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 
 #include "common/stats.h"
 #include "obs/json_writer.h"
-#include "obs/metrics.h"
 #include "obs/perfetto.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
@@ -87,51 +86,6 @@ TEST(JsonWriterTest, CompleteOnlyAfterAllContainersClose) {
   EXPECT_FALSE(w.Complete());
   w.EndObject();
   EXPECT_TRUE(w.Complete());
-}
-
-// --- MetricRegistry ------------------------------------------------------
-
-TEST(MetricRegistryTest, InterningReturnsStableReferences) {
-  MetricRegistry reg;
-  std::uint64_t& misses = reg.Counter("tlb_misses", {{"workload", "coral"}});
-  misses = 3;
-  // Same name + labels resolves to the same instrument.
-  reg.Counter("tlb_misses", {{"workload", "coral"}}) += 2;
-  EXPECT_EQ(misses, 5u);
-  EXPECT_EQ(reg.size(), 1u);
-  // Different labels are a different series.
-  reg.Counter("tlb_misses", {{"workload", "mp3d"}}) = 9;
-  EXPECT_EQ(reg.size(), 2u);
-  EXPECT_EQ(misses, 5u);
-}
-
-TEST(MetricRegistryTest, HoldsAllFourInstrumentTypes) {
-  MetricRegistry reg;
-  reg.Counter("walks") = 7;
-  reg.Gauge("load_factor") = 0.75;
-  reg.Histo("chain_length").Add(2);
-  reg.Stats("wall_seconds").Add(1.5);
-  EXPECT_EQ(reg.size(), 4u);
-  EXPECT_EQ(reg.Counter("walks"), 7u);
-  EXPECT_DOUBLE_EQ(reg.Gauge("load_factor"), 0.75);
-  EXPECT_EQ(reg.Histo("chain_length").total(), 1u);
-  EXPECT_EQ(reg.Stats("wall_seconds").count(), 1u);
-}
-
-TEST(MetricRegistryTest, ToJsonEmitsEverySeries) {
-  MetricRegistry reg;
-  reg.Counter("b_counter") = 1;
-  reg.Gauge("a_gauge") = 2.0;
-  std::ostringstream os;
-  {
-    JsonWriter w(os, /*pretty=*/false);
-    reg.ToJson(w);
-  }
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"a_gauge\""), std::string::npos);
-  EXPECT_NE(out.find("\"b_counter\""), std::string::npos);
-  // std::map ordering: a_gauge serialized before b_counter.
-  EXPECT_LT(out.find("a_gauge"), out.find("b_counter"));
 }
 
 // --- Histogram / RunningStats (satellite hardening) ----------------------

@@ -3,8 +3,8 @@
 // Synthetic-event tests pin the window contract from snapshot.h: lazy
 // closing (every event of reference i lands in i's window), the final
 // partial window always flushing, short traces yielding exactly one
-// window, zero-miss windows appearing with zero deltas, and registry
-// delta-sampling surviving Reset().  The machine integration test pins the
+// window, zero-miss windows appearing with zero deltas, and start_ref
+// staying monotonic across Reset().  The machine integration test pins the
 // tracer guarantee the report format relies on: simulated metrics are
 // bit-identical with and without a snapshotter attached.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
 #include "sim/experiments.h"
@@ -149,60 +148,6 @@ TEST(TimeseriesTest, ResetKeepsGlobalReferenceCounterMonotonic) {
   EXPECT_EQ(snap.windows()[0].index, 0u);
   EXPECT_EQ(snap.windows()[0].start_ref, 3u);
   EXPECT_EQ(snap.total_refs(), 4u);
-}
-
-TEST(TimeseriesTest, RegistryCountersAreDeltaSampledPerWindow) {
-  MetricRegistry reg;
-  std::uint64_t& faults = reg.Counter("page_faults");
-  std::uint64_t& grants = reg.Counter("grants", {{"kind", "reserved"}});
-  faults = 5;  // Pre-construction activity becomes the baseline, not a delta.
-
-  IntervalSnapshotter snap(2, &reg);
-  snap.Record(Ev(EventKind::kTlbHit));
-  faults += 2;
-  snap.Record(Ev(EventKind::kTlbHit));
-  snap.Record(Ev(EventKind::kTlbHit));  // Closes window 0.
-  faults += 1;
-  grants += 4;
-  snap.Finish();
-
-  ASSERT_EQ(snap.windows().size(), 2u);
-  const auto find = [](const IntervalSnapshotter::Window& w, const std::string& name) {
-    for (const auto& [k, v] : w.metric_deltas) {
-      if (k == name) {
-        return v;
-      }
-    }
-    ADD_FAILURE() << name << " missing from window " << w.index;
-    return std::uint64_t{0};
-  };
-
-  // Window 0 saw only the +2; the pre-construction 5 was baselined away.
-  // The labeled counter appears with an explicit zero.
-  EXPECT_EQ(find(snap.windows()[0], "page_faults"), 2u);
-  EXPECT_EQ(find(snap.windows()[0], "grants{kind=reserved}"), 0u);
-  EXPECT_EQ(find(snap.windows()[1], "page_faults"), 1u);
-  EXPECT_EQ(find(snap.windows()[1], "grants{kind=reserved}"), 4u);
-}
-
-TEST(TimeseriesTest, ResetRebaselinesRegistry) {
-  MetricRegistry reg;
-  std::uint64_t& c = reg.Counter("c");
-  IntervalSnapshotter snap(1, &reg);
-
-  c = 10;
-  snap.Record(Ev(EventKind::kTlbHit));
-  snap.Finish();
-
-  // Counter movement between sections must not leak into the next
-  // section's first window: Reset() re-snapshots the baseline.
-  c = 100;
-  snap.Reset();
-  snap.Record(Ev(EventKind::kTlbHit));
-  snap.Finish();
-  ASSERT_EQ(snap.windows().size(), 1u);
-  ASSERT_EQ(snap.windows()[0].metric_deltas.size(), 1u);
-  EXPECT_EQ(snap.windows()[0].metric_deltas[0].second, 0u);
 }
 
 TEST(TimeseriesTest, WriteJsonlEmitsOneObjectPerWindow) {

@@ -60,10 +60,6 @@ def entry_key(entry):
     return (kind, series, workload)
 
 
-def metric_key(inst):
-    return (inst.get("name", "?"), tuple(sorted(inst.get("labels", {}).items())))
-
-
 class Diff:
     """Accumulates per-metric rows and renders the human-readable table."""
 
@@ -145,7 +141,8 @@ def _fmt(v):
 def diff_reports(baseline, current, time_tol):
     d = Diff(time_tol)
 
-    for field in ("schema", "schema_version", "bench", "trace_len_override"):
+    for field in ("schema", "schema_version", "bench", "trace_len_override",
+                  "event_kinds"):
         if baseline.get(field) != current.get(field):
             d.structural("<header>",
                          f"{field}: baseline {baseline.get(field)!r} vs "
@@ -166,16 +163,6 @@ def diff_reports(baseline, current, time_tol):
         else:
             d.compare_tree(where, base_entries[key], cur_entries[key])
 
-    base_metrics = {metric_key(m): m for m in baseline.get("metrics", [])}
-    cur_metrics = {metric_key(m): m for m in current.get("metrics", [])}
-    for key in sorted(base_metrics.keys() | cur_metrics.keys()):
-        where = f"metrics/{key[0]}{list(key[1])}"
-        if key not in cur_metrics:
-            d.structural(where, "instrument missing from current")
-        elif key not in base_metrics:
-            d.structural(where, "instrument not in baseline")
-        else:
-            d.compare_tree(where, base_metrics[key], cur_metrics[key])
     return d
 
 

@@ -6,6 +6,11 @@ schema-versioned envelope that bench/bench_flags.h emits, the per-entry
 shapes that src/sim/serialize.cc writes, and (optionally) that every line
 of a --trace JSONL file parses and carries a known event kind.
 
+Event kinds are known from the document itself: the report envelope and
+the trace and time-series header lines each carry "event_kinds", the wire
+names the binary's obs::ToString(EventKind) wrote, and every "events" key or
+trace "kind" must be one of them.
+
 Usage:
   tools/check_bench_json.py report.json [report2.json ...]
   tools/check_bench_json.py --trace trace.jsonl report.json
@@ -18,57 +23,9 @@ Exit status 0 iff every file validates; failures print one line each.
 import argparse
 import json
 import sys
-from pathlib import Path
 
 SCHEMA = "cpt-bench-report"
-SCHEMA_VERSION = 5
-
-# The single source of truth for event-kind names is the kEventKindNames
-# table in src/obs/trace.h.  Rather than regex-scraping the header here,
-# this checker asks the project linter for its structured enum export
-# (`tools/cpt_lint.py --export-enums`) — one parser, shared by every
-# Python-side consumer, pinned to the compiled binary by the
-# `lint_enum_sync` ctest.
-TOOLS_DIR = Path(__file__).resolve().parent
-
-
-def load_event_kinds(enums_json=None):
-    """EventKind wire names from the linter's enum export.
-
-    `enums_json` may point to a pre-exported cpt-lint-enums JSON file
-    (useful for testing against a doctored export); by default the cpt_lint
-    module is imported and queried in-process.
-    """
-    if enums_json is not None:
-        doc = json.loads(Path(enums_json).read_text(encoding="utf-8"))
-    else:
-        sys.path.insert(0, str(TOOLS_DIR))
-        try:
-            import cpt_lint
-        finally:
-            sys.path.pop(0)
-        doc = cpt_lint.export_enums()
-    if doc.get("schema") != "cpt-lint-enums":
-        raise Failure(f"enum export has schema {doc.get('schema')!r}, "
-                      "expected 'cpt-lint-enums'")
-    entry = doc.get("enums", {}).get("EventKind")
-    if entry is None:
-        raise Failure("enum export has no EventKind entry")
-    names = entry.get("names")
-    if not names:
-        raise Failure("EventKind export carries no kEventKindNames table")
-    if len(names) != len(entry["enumerators"]):
-        raise Failure(
-            f"EventKind has {len(entry['enumerators'])} enumerators but "
-            f"{len(names)} wire names")
-    count = entry.get("count")
-    if count is not None and count != len(names):
-        raise Failure(f"kEventKindCount={count} but {len(names)} names exported")
-    return set(names)
-
-
-# Populated in main() from --trace-header (or the in-repo default).
-EVENT_KINDS = set()
+SCHEMA_VERSION = 6
 
 # The three attribution dimensions serialize.cc emits, in order.
 ATTRIBUTION_DIMS = ("by_segment", "by_page_class", "by_outcome")
@@ -113,6 +70,16 @@ def require(cond, msg):
         raise Failure(msg)
 
 
+def event_kinds_of(header, where):
+    """The set of event-kind wire names a document's header declares."""
+    kinds = header.get("event_kinds")
+    require(isinstance(kinds, list) and kinds
+            and all(isinstance(k, str) and k for k in kinds),
+            f"{where}: missing event_kinds list")
+    require(len(set(kinds)) == len(kinds), f"{where}: duplicate event_kinds")
+    return set(kinds)
+
+
 def check_fields(obj, fields, where):
     for name, types in fields.items():
         require(name in obj, f"{where}: missing field '{name}'")
@@ -152,7 +119,7 @@ def check_attribution(attr, where):
                     f"{where}: {dim} {field} sum {total} != total {attr[field]}")
 
 
-def check_measurement_entry(entry, i):
+def check_measurement_entry(entry, i, event_kinds):
     where = f"entries[{i}] ({entry['type']}/{entry.get('series', '?')})"
     require("series" in entry, f"{where}: missing 'series'")
     require("measurement" in entry, f"{where}: missing 'measurement'")
@@ -166,7 +133,7 @@ def check_measurement_entry(entry, i):
                 + m.get("subblock_misses", 0) or m["denominator_misses"] >= 0,
                 f"{where}: nonsensical miss counts")
         for kind in m.get("events", {}):
-            require(kind in EVENT_KINDS, f"{where}: unknown event kind '{kind}'")
+            require(kind in event_kinds, f"{where}: unknown event kind '{kind}'")
         for histo in m.get("histograms", {}).values():
             require({"total", "mean", "overflow", "counts"} <= histo.keys(),
                     f"{where}: malformed histogram")
@@ -194,24 +161,18 @@ def check_report_doc(doc):
             f"schema_version is {doc.get('schema_version')!r}")
     require(isinstance(doc.get("bench"), str) and doc["bench"],
             "missing bench name")
+    event_kinds = event_kinds_of(doc, "report")
     entries = doc.get("entries")
     require(isinstance(entries, list) and entries, "empty entries array")
     for i, entry in enumerate(entries):
         require(isinstance(entry.get("type"), str), f"entries[{i}]: missing type")
         if entry["type"] in ("access", "size"):
-            check_measurement_entry(entry, i)
+            check_measurement_entry(entry, i, event_kinds)
         elif entry["type"] == "table":
             check_table_entry(entry, i)
         # Other custom entry types (rangeops, ...) only need type + series.
         else:
             require("series" in entry, f"entries[{i}]: missing 'series'")
-    if "metrics" in doc:
-        require(isinstance(doc["metrics"], list), "metrics is not a list")
-        for j, inst in enumerate(doc["metrics"]):
-            require(isinstance(inst.get("name"), str) and inst["name"],
-                    f"metrics[{j}]: missing name")
-            require(inst.get("type") in ("counter", "gauge", "histogram", "stats"),
-                    f"metrics[{j}]: bad type {inst.get('type')!r}")
     # Every report carries an aggregate throughput section; the timeseries
     # summary appears iff --timeseries ran.
     tp = doc.get("throughput")
@@ -241,13 +202,16 @@ def check_trace(path):
     with open(path, encoding="utf-8") as f:
         header = json.loads(f.readline())
         require(header.get("schema") == "cpt-bench-trace", "bad trace header")
+        require(header.get("schema_version") == SCHEMA_VERSION,
+                f"trace schema_version is {header.get('schema_version')!r}")
+        event_kinds = event_kinds_of(header, "trace header")
         for lineno, line in enumerate(f, start=2):
             rec = json.loads(line)
             if rec.get("type") == "context":
                 require("series" in rec and "rng_seed" in rec,
                         f"line {lineno}: malformed context record")
                 continue
-            require(rec.get("kind") in EVENT_KINDS,
+            require(rec.get("kind") in event_kinds,
                     f"line {lineno}: unknown kind {rec.get('kind')!r}")
             n += 1
     return n
@@ -269,6 +233,7 @@ def check_timeseries_lines(lines):
     window_refs = header.get("window_refs")
     require(isinstance(window_refs, int) and window_refs > 0,
             "timeseries header missing positive window_refs")
+    event_kinds = event_kinds_of(header, "timeseries header")
 
     n_windows = 0
     expected = None  # Declared window count of the open section.
@@ -307,7 +272,7 @@ def check_timeseries_lines(lines):
             require(isinstance(events, dict),
                     f"line {lineno}: window events not an object")
             for name in events:
-                require(name in EVENT_KINDS,
+                require(name in event_kinds,
                         f"line {lineno}: unknown event kind '{name}'")
             seen += 1
             n_windows += 1
@@ -352,9 +317,10 @@ def check_perfetto(path):
 def _self_test_sections():
     """Synthetic-document round trips for the report sections: each valid doc
     must pass, each deliberately broken variant must raise Failure."""
+    kinds = ["tlb_hit", "tlb_miss", "walk_step", "walk_end"]
     valid = {
         "schema": SCHEMA, "schema_version": SCHEMA_VERSION, "bench": "t",
-        "trace_len_override": 0,
+        "event_kinds": kinds, "trace_len_override": 0,
         "entries": [{
             "type": "access", "series": "clustered",
             "measurement": {
@@ -365,6 +331,7 @@ def _self_test_sections():
                 "timing": {"wall_seconds": 1.5e-4, "refs_per_sec": 2e7,
                            "misses_per_sec": 1.3e4},
                 "options": dict.fromkeys(OPTION_FIELDS, 0),
+                "events": {"tlb_hit": 2998, "tlb_miss": 2},
             },
         }],
         "throughput": {"refs": 3000, "wall_seconds": 1.5e-4,
@@ -380,6 +347,12 @@ def _self_test_sections():
     broken = copy.deepcopy(valid)
     del broken["entries"][0]["measurement"]["timing"]["misses_per_sec"]
     checks.append(("timing missing misses_per_sec", broken, "misses_per_sec"))
+    broken = copy.deepcopy(valid)
+    del broken["event_kinds"]
+    checks.append(("report without event_kinds", broken, "event_kinds"))
+    broken = copy.deepcopy(valid)
+    broken["entries"][0]["measurement"]["events"]["tlb_mis"] = 1
+    checks.append(("undeclared event kind", broken, "unknown event kind"))
 
     for label, doc, expect in checks:
         try:
@@ -396,7 +369,7 @@ def _self_test_sections():
 
     ts_valid = [
         {"schema": "cpt-bench-timeseries", "schema_version": SCHEMA_VERSION,
-         "bench": "t", "window_refs": 4, "type": "header"},
+         "bench": "t", "window_refs": 4, "event_kinds": kinds, "type": "header"},
         {"type": "context", "series": "a", "workload": "w", "windows": 2},
         {"type": "window", "window": 0, "start_ref": 0, "refs": 4, "lines": 2,
          "miss_rate": 0.25, "lines_per_miss": 2.0, "events": {"tlb_miss": 1}},
@@ -432,40 +405,22 @@ def main():
                         help="--perfetto Chrome trace-event files")
     parser.add_argument("--timeseries", action="append", default=[],
                         help="--timeseries windowed JSONL files")
-    parser.add_argument("--enums-json", default=None,
-                        help="pre-exported cpt-lint-enums JSON (default: "
-                             "import tools/cpt_lint.py and export in-process)")
     parser.add_argument("--self-test", action="store_true",
-                        help="verify the cpt_lint enum import path and the "
-                             "report section validators, then exit")
+                        help="round-trip the report and time-series validators "
+                             "over synthetic documents, then exit")
     args = parser.parse_args()
     if (not args.self_test and not args.reports and not args.trace
             and not args.perfetto and not args.timeseries):
         parser.error("nothing to check")
 
-    try:
-        EVENT_KINDS.update(load_event_kinds(args.enums_json))
-    except (Failure, OSError, json.JSONDecodeError) as e:
-        print(f"FAIL loading event kinds: {e}")
-        return 1
-
     if args.self_test:
-        # The protocol kinds every bench trace is built from must be present;
-        # their absence means the cpt_lint import or parse went wrong.
-        core = {"tlb_hit", "tlb_miss", "walk_step", "walk_hit", "walk_end",
-                "walk_abort", "page_fault"}
-        missing = core - EVENT_KINDS
-        if missing:
-            print(f"FAIL self-test: core event kinds missing: {sorted(missing)}")
-            return 1
         try:
             _self_test_sections()
         except Failure as e:
             print(f"FAIL self-test: {e}")
             return 1
-        print(f"OK   self-test: {len(EVENT_KINDS)} event kinds via cpt_lint; "
-              "timing/throughput/timeseries validators "
-              "round-trip")
+        print("OK   self-test: event-kind/timing/throughput/timeseries "
+              "validators round-trip")
         return 0
 
     failed = False

@@ -2,9 +2,8 @@
 """cpt-lint: project-specific static analysis for the clustered-page-table simulator.
 
 The simulator's headline numbers are pure counting metrics, so the repo's
-correctness story is contract discipline: walk events must stay paired,
-switches over contract enums must stay exhaustive, enum<->name tables must
-stay in sync, and nothing nondeterministic may leak into simulated counts.
+correctness story is contract discipline: walk events must stay paired
+and nothing nondeterministic may leak into simulated counts.
 The runtime half of those contracts lives in src/check (StructuralAuditor,
 ShadowedPageTable); this tool is the static half, run at build/CI time
 before a trace is ever produced.
@@ -17,11 +16,6 @@ fails loudly (via the fixture tests) when it is not.
 
 Rules (see DESIGN.md "Static analysis" for the catalog and policy):
 
-  exhaustive-enum-switch  switches over contract enums (EventKind,
-                          MappingKind, SegmentKind, ...) must list every
-                          enumerator or carry a suppression.
-  name-table-sync         k<Enum>Names arrays need an adjacent
-                          static_assert and one entry per enumerator.
   walk-protocol-pairing   BeginWalk must pair with EndWalk/AbortWalk (or
                           WalkScope) in the same function; a function
                           emitting both kWalkHit and kWalkEnd must emit
@@ -65,8 +59,13 @@ byte counts the simulator charges come from paper-model constants
 entry and fill struct pins its host size with a static_assert next to its
 definition (DESIGN.md "Layout pins").
 
-Exit codes: 0 clean, 1 findings, 2 internal error (an unreadable input or
-malformed baseline — not a lint verdict).
+Enum contracts are NOT modeled here either: -Werror=switch and
+-Werror=switch-enum make every switch over an enum list each enumerator, and
+each wire-name ToString() is such a switch with a compile-time count check
+(DESIGN.md "Compiler-enforced contracts").
+
+Exit codes: 0 clean, 1 findings, 2 internal error (an unreadable input —
+not a lint verdict).
 
 Suppressions:
   // cpt-lint: allow(rule[, rule])   suppress on this line (trailing) or,
@@ -76,18 +75,11 @@ Suppressions:
                                      block suppression (to end of file when
                                      never turned back on).
 
-Baseline: findings fingerprinted as rule + path + message (line-number
-free) may be grandfathered in tools/cpt_lint_baseline.json; anything not
-in the baseline fails the run.  CI keeps the baseline empty.
-
 Usage:
   tools/cpt_lint.py --all              lint the whole tree (gating)
   tools/cpt_lint.py src/pt/hashed.cc   lint specific files
   tools/cpt_lint.py --all --json       machine-readable findings
   tools/cpt_lint.py --all --fix        apply fixes for mechanical rules
-  tools/cpt_lint.py --export-enums     JSON dump of enums + name tables
-                                       (consumed by check_bench_json.py)
-  tools/cpt_lint.py --all --sarif=f    also write findings as SARIF 2.1.0
 """
 
 import argparse
@@ -100,24 +92,12 @@ from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "cpt_lint_baseline.json"
 
 # Directory roots scanned by --all, relative to the repo root.
 LINT_ROOTS = ("src", "bench", "examples", "tests", "tools")
 SOURCE_SUFFIXES = (".h", ".hpp", ".cc", ".cpp")
 # Known-bad lint-test inputs must never gate the real tree.
 EXCLUDED_GLOBS = ("tests/lint/fixtures/*",)
-
-# Enums whose switches must stay exhaustive as enumerators are added.
-# Deliberately broad: every closed-vocabulary enum in the simulator's
-# contracts.  A switch that intentionally handles a subset carries a
-# suppression explaining why.
-CONTRACT_ENUMS = {
-    "EventKind", "WalkHitClass", "SegmentClass", "SegmentKind",
-    "MappingKind", "LookupOutcome", "PtKind", "TlbKind", "AccessPattern",
-    "PteStrategy", "GroupState", "GroupStateView", "NodeKind", "SizeModel",
-    "SearchOrder", "HashKind", "NodePlacement", "AuditVerdict",
-}
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -351,36 +331,9 @@ class Finding:
         self.message = message
         self.fixes = fixes or []  # [(start_offset, end_offset, replacement)]
 
-    @property
-    def fingerprint(self):
-        return f"{self.rule}::{self.path}::{self.message}"
-
     def to_json(self):
         return {"rule": self.rule, "path": self.path, "line": self.line,
-                "message": self.message, "fixable": bool(self.fixes),
-                "fingerprint": self.fingerprint}
-
-
-# ---------------------------------------------------------------------------
-# Project-wide context: enums, count constants, name tables
-# ---------------------------------------------------------------------------
-
-class EnumDef:
-    def __init__(self, name, sf, line, enumerators):
-        self.name = name
-        self.file = sf.rel
-        self.line = line
-        self.enumerators = enumerators
-
-
-class NameTable:
-    def __init__(self, name, sf, line, end_line, strings, tok_range):
-        self.name = name
-        self.file = sf.rel
-        self.line = line
-        self.end_line = end_line
-        self.strings = strings
-        self.tok_range = tok_range  # (first_index, semicolon_index)
+                "message": self.message, "fixable": bool(self.fixes)}
 
 
 def _match_paren(tokens, i, open_ch, close_ch):
@@ -396,148 +349,6 @@ def _match_paren(tokens, i, open_ch, close_ch):
                 return i
         i += 1
     return len(tokens) - 1
-
-
-def parse_enums(sf):
-    out = []
-    toks = sf.tokens
-    i = 0
-    while i < len(toks):
-        if toks[i].text != "enum" or toks[i].kind != "id":
-            i += 1
-            continue
-        j = i + 1
-        if j < len(toks) and toks[j].text in ("class", "struct"):
-            j += 1
-        if j >= len(toks) or toks[j].kind != "id":
-            i = j
-            continue
-        name_tok = toks[j]
-        j += 1
-        while j < len(toks) and toks[j].text not in ("{", ";"):
-            j += 1  # underlying-type clause
-        if j >= len(toks) or toks[j].text != "{":
-            i = j  # forward declaration
-            continue
-        close = _match_paren(toks, j, "{", "}")
-        enumerators = []
-        expect_name = True
-        depth = 0
-        for k in range(j + 1, close):
-            t = toks[k]
-            if t.text in ("(", "{", "["):
-                depth += 1
-            elif t.text in (")", "}", "]"):
-                depth -= 1
-            elif depth == 0 and t.text == ",":
-                expect_name = True
-            elif depth == 0 and expect_name and t.kind == "id":
-                enumerators.append(t.text)
-                expect_name = False
-        out.append(EnumDef(name_tok.text, sf, name_tok.line, enumerators))
-        i = close + 1
-    return out
-
-
-COUNT_CONST_RE = re.compile(r"^k\w*Count$")
-NAME_TABLE_RE = re.compile(r"^k[A-Z]\w*Names$")
-
-
-def parse_count_consts(sf):
-    out = {}
-    toks = sf.tokens
-    for i, t in enumerate(toks):
-        if (t.kind == "id" and COUNT_CONST_RE.match(t.text)
-                and i + 2 < len(toks) and toks[i + 1].text == "="
-                and toks[i + 2].kind == "num"):
-            try:
-                out[t.text] = int(toks[i + 2].text.replace("'", ""), 0)
-            except ValueError:
-                pass
-    return out
-
-
-def parse_name_tables(sf):
-    out = []
-    toks = sf.tokens
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if not (t.kind == "id" and NAME_TABLE_RE.match(t.text)):
-            i += 1
-            continue
-        j = i + 1
-        if j >= len(toks) or toks[j].text != "[":
-            i += 1
-            continue
-        j = _match_paren(toks, j, "[", "]") + 1
-        if j + 1 >= len(toks) or toks[j].text != "=" or toks[j + 1].text != "{":
-            i += 1  # an indexing use, not a definition
-            continue
-        close = _match_paren(toks, j + 1, "{", "}")
-        depth = 0
-        strings = []
-        for k in range(j + 2, close):
-            tk = toks[k]
-            if tk.text in ("{", "(", "["):
-                depth += 1
-            elif tk.text in ("}", ")", "]"):
-                depth -= 1
-            elif depth == 0 and tk.kind == "str":
-                strings.append(json_unquote(tk.text))
-        semi = close + 1 if close + 1 < len(toks) and toks[close + 1].text == ";" else close
-        out.append(NameTable(t.text, sf, t.line, toks[semi].line, strings, (i, semi)))
-        i = semi + 1
-    return out
-
-
-def json_unquote(cpp_string_token):
-    """Decodes a simple C++ string literal token to its value."""
-    s = cpp_string_token
-    if s.startswith(("u8", "u", "U", "L")):
-        s = s.lstrip("u8UL")
-    if s.startswith('R"'):
-        body = s[2:-1]
-        delim, _, rest = body.partition("(")
-        return rest[: len(rest) - len(delim) - 1] if delim else rest[:-1]
-    try:
-        return json.loads(s)
-    except (json.JSONDecodeError, ValueError):
-        return s.strip('"')
-
-
-class Project:
-    """Cross-file context shared by all rules."""
-
-    def __init__(self, files):
-        self.files = files
-        self.enums = {}         # name -> [EnumDef]
-        self.count_consts = {}  # name -> int
-        self.name_tables = []   # [NameTable]
-        for sf in files:
-            for e in parse_enums(sf):
-                self.enums.setdefault(e.name, []).append(e)
-            self.count_consts.update(parse_count_consts(sf))
-            self.name_tables.extend(parse_name_tables(sf))
-
-    def enum_for_switch(self, name, seen_enumerators, rel=None):
-        """The unique EnumDef consistent with the observed case labels.
-
-        A definition in the file being linted shadows same-named enums
-        elsewhere (test fixtures and doubles clone contract enums locally).
-        """
-        defs = self.enums.get(name, [])
-        consistent = [d for d in defs if seen_enumerators <= set(d.enumerators)]
-        if rel is not None:
-            local = [d for d in consistent if d.file == rel]
-            if local:
-                consistent = local
-        if len(consistent) == 1:
-            return consistent[0]
-        if consistent and all(set(d.enumerators) == set(consistent[0].enumerators)
-                              for d in consistent):
-            return consistent[0]
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -561,128 +372,13 @@ class Rule:
             return True
         return any(fnmatch.fnmatch(rel, g) for g in self.include)
 
-    def check(self, sf, project):
+    def check(self, sf):
         raise NotImplementedError
 
 
 def register(cls):
     RULES[cls.name] = cls()
     return cls
-
-
-# ---- exhaustive-enum-switch -----------------------------------------------
-
-@register
-class ExhaustiveEnumSwitch(Rule):
-    name = "exhaustive-enum-switch"
-    help = ("switch statements over contract enums must list every enumerator "
-            "(or carry a suppression explaining the subset)")
-
-    def check(self, sf, project):
-        findings = []
-        toks = sf.tokens
-        for i, t in enumerate(toks):
-            if t.kind == "id" and t.text == "switch":
-                self._check_switch(sf, project, toks, i, findings)
-        return findings
-
-    def _check_switch(self, sf, project, toks, i, findings):
-        # Find the controlled body: switch ( cond ) { ... }
-        j = i + 1
-        if j >= len(toks) or toks[j].text != "(":
-            return
-        j = _match_paren(toks, j, "(", ")") + 1
-        if j >= len(toks) or toks[j].text != "{":
-            return
-        close = _match_paren(toks, j, "{", "}")
-        labels = {}  # enum name -> set(enumerator)
-        k = j + 1
-        while k < close:
-            tk = toks[k]
-            if tk.kind == "id" and tk.text == "switch":
-                # Nested switch: its labels belong to it, not to us (the
-                # outer token scan in check() will visit it on its own).
-                nj = k + 1
-                if nj < len(toks) and toks[nj].text == "(":
-                    nj = _match_paren(toks, nj, "(", ")") + 1
-                if nj < len(toks) and toks[nj].text == "{":
-                    k = _match_paren(toks, nj, "{", "}") + 1
-                    continue
-            if tk.kind == "id" and tk.text == "case":
-                ids = []
-                k += 1
-                while k < close and toks[k].text != ":":
-                    if toks[k].kind == "id":
-                        ids.append(toks[k].text)
-                    k += 1
-                if len(ids) >= 2:
-                    labels.setdefault(ids[-2], set()).add(ids[-1])
-                continue
-            k += 1
-        for enum_name, seen in labels.items():
-            if enum_name not in CONTRACT_ENUMS:
-                continue
-            enum_def = project.enum_for_switch(enum_name, seen, sf.rel)
-            if enum_def is None:
-                continue
-            missing = sorted(set(enum_def.enumerators) - seen)
-            if not missing:
-                continue
-            shown = ", ".join(missing[:6]) + (", ..." if len(missing) > 6 else "")
-            findings.append(Finding(
-                self.name, sf, toks[i].line,
-                f"switch over {enum_name} is missing {len(missing)} of "
-                f"{len(enum_def.enumerators)} enumerators: {shown}"))
-
-
-# ---- name-table-sync -------------------------------------------------------
-
-@register
-class NameTableSync(Rule):
-    name = "name-table-sync"
-    help = ("k<Enum>Names arrays must sit adjacent to a static_assert tying "
-            "their length to the enum, and carry one entry per enumerator")
-    ADJACENT_LINES = 4
-
-    def check(self, sf, project):
-        findings = []
-        asserts = self._static_assert_spans(sf)
-        for table in (t for t in project.name_tables if t.file == sf.rel):
-            if not self._has_adjacent_assert(table, asserts):
-                findings.append(Finding(
-                    self.name, sf, table.line,
-                    f"name table {table.name} has no adjacent "
-                    f"static_assert(std::size({table.name}) == ...) within "
-                    f"{self.ADJACENT_LINES} lines"))
-            enum_name = table.name[1:-len("Names")]
-            enum_def = project.enum_for_switch(enum_name, set(), sf.rel)
-            if enum_def is not None and len(table.strings) != len(enum_def.enumerators):
-                findings.append(Finding(
-                    self.name, sf, table.line,
-                    f"{table.name} has {len(table.strings)} entries but enum "
-                    f"{enum_name} has {len(enum_def.enumerators)} enumerators"))
-        return findings
-
-    @staticmethod
-    def _static_assert_spans(sf):
-        spans = []
-        toks = sf.tokens
-        for i, t in enumerate(toks):
-            if t.kind == "id" and t.text == "static_assert" and i + 1 < len(toks) \
-                    and toks[i + 1].text == "(":
-                close = _match_paren(toks, i + 1, "(", ")")
-                names = {tk.text for tk in toks[i + 2:close] if tk.kind == "id"}
-                spans.append((t.line, toks[close].line, names))
-        return spans
-
-    def _has_adjacent_assert(self, table, asserts):
-        for start, end, names in asserts:
-            if table.name not in names:
-                continue
-            if (abs(start - table.end_line) <= self.ADJACENT_LINES
-                    or abs(end - table.line) <= self.ADJACENT_LINES):
-                return True
-        return False
 
 
 # ---- walk-protocol-pairing -------------------------------------------------
@@ -744,7 +440,7 @@ class WalkProtocolPairing(Rule):
 
     WALK_EVENTS = ("kWalkHit", "kWalkEnd", "kWalkAbort", "kWalkStep")
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         for start, end in sf.function_spans():
@@ -801,7 +497,7 @@ class CheckMacroHygiene(Rule):
 
     INCLUDE_RE = re.compile(r"#\s*include\s*[<\"](cassert|assert\.h)[>\"]")
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         for i, t in enumerate(toks):
@@ -844,7 +540,7 @@ class DeterminismGuards(Rule):
                     "gettimeofday", "timespec_get"}
     BANNED_TYPES = {"random_device"}
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         for i, t in enumerate(toks):
@@ -888,7 +584,7 @@ class TimingDiscipline(Rule):
     # banned clock()/time()).
     BANNED_CALLS = {"clock_gettime", "clock_getres"}
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         for i, t in enumerate(toks):
@@ -935,7 +631,7 @@ class IncludeGuard(Rule):
         pieces = [p.upper() for p in parts[:-1]] + [stem.upper()]
         return "CPT_" + "_".join(re.sub(r"[^A-Z0-9]", "_", p) for p in pieces) + "_H_"
 
-    def check(self, sf, project):
+    def check(self, sf):
         if not sf.rel.endswith((".h", ".hpp")):
             return []  # Intrinsically a header rule, even under --ignore-scope.
         want = self.expected_guard(sf.rel)
@@ -992,7 +688,7 @@ class NodiscardQuery(Rule):
     QUERY_METHODS = {"Lookup", "LookupKey"}
     DECL_STOP = {";", "{", "}"}
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         for i, t in enumerate(toks):
@@ -1062,7 +758,7 @@ class RawAddressParam(Rule):
     CALL_PREV = {".", "->", "::", "(", ",", "=", "return", "!", "<", "&&",
                  "||", "case", "+", "-", "*", "/", "%", "&", "|", "^"}
 
-    def check(self, sf, project):
+    def check(self, sf):
         if not sf.rel.endswith((".h", ".hpp")):
             return []  # Intrinsically a header rule, even under --ignore-scope.
         findings = []
@@ -1146,7 +842,7 @@ class AtomicDiscipline(Rule):
     # justifies the order (call arguments often wrap one line).
     ADJACENT_LINES = 2
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         justified = set()
@@ -1213,7 +909,7 @@ class RawSyncPrimitive(Rule):
                   # discipline; atomic_flag is a spin lock by another name.
                   "thread", "jthread", "atomic_flag"}
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         for i, t in enumerate(toks):
@@ -1243,90 +939,11 @@ class UnknownSuppression(Rule):
     help = ("a '// cpt-lint: allow/off/on(rule)' comment must name an existing "
             "rule; a misspelled or retired name suppresses nothing")
 
-    def check(self, sf, project):
+    def check(self, sf):
         return [Finding(self.name, sf, line,
                         f"suppression names unknown rule '{rule}'; fix the "
                         f"name or delete the comment")
                 for line, rule in sf.unknown_suppressions]
-
-
-# ---------------------------------------------------------------------------
-# Enum export (the single source of truth for Python-side validators)
-# ---------------------------------------------------------------------------
-
-def export_enums_data(project):
-    enums = {}
-    for name, defs in sorted(project.enums.items()):
-        d = defs[0]
-        entry = {
-            "file": d.file,
-            "line": d.line,
-            "enumerators": d.enumerators,
-        }
-        count_name = f"k{name}Count"
-        if count_name in project.count_consts:
-            entry["count_constant"] = count_name
-            entry["count"] = project.count_consts[count_name]
-        table = next((t for t in project.name_tables if t.name == f"k{name}Names"), None)
-        if table is not None:
-            entry["names"] = table.strings
-            entry["names_table"] = {"name": table.name, "file": table.file,
-                                    "line": table.line}
-        enums[name] = entry
-    return {"schema": "cpt-lint-enums", "version": 1, "enums": enums}
-
-
-def export_enums(root=REPO_ROOT, roots=("src",)):
-    """Module API for check_bench_json.py and the agreement tests."""
-    files = collect_source_files(root, roots=roots)
-    return export_enums_data(Project(files))
-
-
-# ---------------------------------------------------------------------------
-# SARIF export (CI PR annotations)
-# ---------------------------------------------------------------------------
-
-SARIF_SCHEMA = ("https://json.schemastore.org/sarif-2.1.0.json")
-
-
-def sarif_payload(findings):
-    """SARIF 2.1.0 for every rule's findings, with the same line-free
-    fingerprints the baseline uses so annotations survive rebases."""
-    return {
-        "$schema": SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "cpt-lint",
-                    "informationUri":
-                        "tools/cpt_lint.py (project-local linter)",
-                    "rules": [
-                        {"id": name,
-                         "shortDescription": {"text": rule.help}}
-                        for name, rule in sorted(RULES.items())
-                    ],
-                },
-            },
-            "results": [
-                {
-                    "ruleId": f.rule,
-                    "level": "error",
-                    "message": {"text": f.message},
-                    "locations": [{
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": f.path},
-                            "region": {"startLine": max(f.line, 1)},
-                        },
-                    }],
-                    "partialFingerprints": {
-                        "cptLintFingerprint/v1": f.fingerprint,
-                    },
-                }
-                for f in findings
-            ],
-        }],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1350,8 +967,7 @@ def collect_source_files(root=REPO_ROOT, roots=LINT_ROOTS):
     return out
 
 
-def run_rules(files, project, rule_names=None, ignore_scope=False,
-              rule_timing=None):
+def run_rules(files, rule_names=None, ignore_scope=False, rule_timing=None):
     findings = []
     timing = Counter()
     for sf in files:
@@ -1361,7 +977,7 @@ def run_rules(files, project, rule_names=None, ignore_scope=False,
             if not ignore_scope and not rule.applies(sf.rel):
                 continue
             t0 = time.perf_counter()
-            for f in rule.check(sf, project):
+            for f in rule.check(sf):
                 if not sf.suppressed(f.rule, f.line):
                     findings.append(f)
             timing[name] += time.perf_counter() - t0
@@ -1373,34 +989,6 @@ def run_rules(files, project, rule_names=None, ignore_scope=False,
         rule_timing.update(timing)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
-
-
-def load_baseline(path):
-    if path is None or not Path(path).exists():
-        return Counter()
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Counter(data.get("findings", {}))
-
-
-def write_baseline(path, findings):
-    counts = Counter(f.fingerprint for f in findings)
-    payload = {"schema": "cpt-lint-baseline", "version": 1,
-               "findings": dict(sorted(counts.items()))}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def split_by_baseline(findings, baseline):
-    """Returns (new_findings, grandfathered, stale_fingerprints)."""
-    remaining = Counter(baseline)
-    new, old = [], []
-    for f in findings:
-        if remaining.get(f.fingerprint, 0) > 0:
-            remaining[f.fingerprint] -= 1
-            old.append(f)
-        else:
-            new.append(f)
-    stale = sorted(fp for fp, n in remaining.items() if n > 0)
-    return new, old, stale
 
 
 def apply_fixes(findings, root=REPO_ROOT):
@@ -1424,7 +1012,7 @@ def apply_fixes(findings, root=REPO_ROOT):
     return fixed_files
 
 
-def print_human(findings, files_by_rel, stale):
+def print_human(findings, files_by_rel):
     for f in findings:
         print(f"{f.path}:{f.line}: [{f.rule}] {f.message}")
         sf = files_by_rel.get(f.path)
@@ -1439,8 +1027,6 @@ def print_human(findings, files_by_rel, stale):
                         print(f"  + {fixed}")
                 else:
                     print(f"    {src}")
-    for fp in stale:
-        print(f"stale baseline entry (fixed? run --write-baseline): {fp}")
 
 
 def apply_spans_to_line(sf, finding):
@@ -1460,15 +1046,15 @@ def apply_spans_to_line(sf, finding):
 def main(argv=None):
     """Exit codes: 0 clean, 1 findings, 2 internal error.
 
-    Anything that stops the lint itself — an unreadable input, undecodable
-    bytes, a malformed baseline — is an internal error (2), distinct
+    Anything that stops the lint itself — an unreadable or undecodable
+    input — is an internal error (2), distinct
     from "the tree has findings" (1) so CI scripts and pre-commit hooks can
     tell a broken run from a failing one.  (argparse uses 2 for usage
     errors already, consistent with this.)
     """
     try:
         return _main(argv)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"cpt-lint: internal error: {e}", file=sys.stderr)
         return 2
 
@@ -1483,16 +1069,6 @@ def _main(argv=None):
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--fix", action="store_true",
                         help="apply fixes for mechanical rules, then report the rest")
-    parser.add_argument("--baseline", default=str(DEFAULT_BASELINE),
-                        help="baseline file of grandfathered findings")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline (report everything)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline from current findings")
-    parser.add_argument("--export-enums", action="store_true",
-                        help="dump enums/name tables under src/ as JSON and exit")
-    parser.add_argument("--sarif", metavar="PATH",
-                        help="also write new findings (all rules) as SARIF 2.1.0")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--rules", help="comma-separated subset of rules to run")
     parser.add_argument("--ignore-scope", action="store_true",
@@ -1507,21 +1083,10 @@ def _main(argv=None):
         return 0
 
     root = Path(args.root).resolve()
-    if args.export_enums:
-        print(json.dumps(export_enums(root), indent=2))
-        return 0
-
     if args.paths:
         files = [SourceFile(p, root=root) for p in args.paths]
-        # Enum/name-table context always comes from the full src tree, so
-        # linting one .cc still knows the enums its switches dispatch over.
-        seen = {sf.rel for sf in files}
-        context = files + [sf for sf in collect_source_files(root, roots=("src",))
-                           if sf.rel not in seen]
-        project = Project(context)
     else:
         files = collect_source_files(root)
-        project = Project(files)
     rule_names = set(args.rules.split(",")) if args.rules else None
     if rule_names is not None:
         unknown = rule_names - RULES.keys()
@@ -1529,50 +1094,33 @@ def _main(argv=None):
             parser.error(f"unknown rules: {', '.join(sorted(unknown))}")
 
     rule_timing = Counter()
-    findings = run_rules(files, project, rule_names, args.ignore_scope,
+    findings = run_rules(files, rule_names, args.ignore_scope,
                          rule_timing=rule_timing)
-    baseline = Counter() if args.no_baseline else load_baseline(args.baseline)
-    new, grandfathered, stale = split_by_baseline(findings, baseline)
 
-    if args.write_baseline:
-        write_baseline(args.baseline, findings)
-        print(f"baseline written: {len(findings)} findings -> {args.baseline}")
-        return 0
-
-    if args.fix and new:
-        fixable = [f for f in new if f.fixes]
+    if args.fix and findings:
+        fixable = [f for f in findings if f.fixes]
         if fixable:
             n = apply_fixes(fixable, root=root)
             print(f"fixed {sum(len(f.fixes) for f in fixable)} spans in {n} files")
             # Re-lint so the report reflects the post-fix tree.
             files = [SourceFile(root / sf.rel, root=root) for sf in files]
-            project = Project(files)
             rule_timing = Counter()
-            findings = run_rules(files, project, rule_names, args.ignore_scope,
+            findings = run_rules(files, rule_names, args.ignore_scope,
                                  rule_timing=rule_timing)
-            new, grandfathered, stale = split_by_baseline(findings, baseline)
-
-    if args.sarif:
-        Path(args.sarif).write_text(
-            json.dumps(sarif_payload(new), indent=2) + "\n",
-            encoding="utf-8")
 
     if args.json:
         print(json.dumps({
             "schema": "cpt-lint-report", "version": 1,
             "checked_files": len(files),
-            "findings": [f.to_json() for f in new],
-            "grandfathered": len(grandfathered),
-            "stale_baseline": stale,
+            "findings": [f.to_json() for f in findings],
             "rule_timing_ms": {name: round(secs * 1000.0, 3)
                                for name, secs in sorted(rule_timing.items())},
         }, indent=2))
     else:
-        print_human(new, {sf.rel: sf for sf in files}, stale)
-        status = "FAIL" if new else "OK"
-        print(f"{status}: {len(files)} files, {len(new)} new findings, "
-              f"{len(grandfathered)} grandfathered, {len(stale)} stale baseline entries")
-    return 1 if new else 0
+        print_human(findings, {sf.rel: sf for sf in files})
+        status = "FAIL" if findings else "OK"
+        print(f"{status}: {len(files)} files, {len(findings)} findings")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -39,13 +39,14 @@ int main() {
   // --- 2. A TLB miss: walk the table, counting cache lines. ---
   cache.BeginWalk();
   auto fill = clustered.Lookup(VaOf(Vpn{0x105}) + 0x44);
+  const unsigned lines = cache.LinesThisWalk();
   cache.EndWalk();
   if (fill) {
     std::printf("TLB miss on va=0x%llx -> vpn 0x%llx maps to ppn 0x%llx "
                 "(%u cache line(s) touched)\n\n",
                 (unsigned long long)(VaOf(Vpn{0x105}) + 0x44).raw(), 0x105ull,
                 (unsigned long long)fill->Translate(Vpn{0x105}).raw(),
-                (unsigned)cache.per_walk_histogram().max_value());
+                lines);
   }
 
   // --- 3. Promote a fully-mapped, properly-placed block to a superpage. ---

@@ -228,6 +228,21 @@ std::uint64_t CheckNodeWords(const CollectedNode& cn, const WordCheckParams& p,
   return translations;
 }
 
+// Radix-table leaf views (pt::ReplicatedLeafStore) carry the leaf's
+// live-slot counter in `index`; it must equal the occupied slots.
+void CheckLeafLiveCounter(const CollectedNode& cn, AuditReport& report) {
+  unsigned occupied = 0;
+  for (const MappingWord& w : cn.words) {
+    if (w != MappingWord::Invalid()) {
+      ++occupied;
+    }
+  }
+  if (occupied != static_cast<unsigned>(cn.meta.index)) {
+    report.Add(NodeId(cn) + ": leaf live counter " + Str(cn.meta.index) + " but " +
+               Str(occupied) + " occupied slots");
+  }
+}
+
 struct ChainExpectations {
   // tag -> bucket the node must hang on; null skips the bucket check.
   std::function<std::uint32_t(std::uint64_t)> bucket_of;
@@ -389,17 +404,7 @@ AuditReport StructuralAuditor::Audit(const pt::LinearPageTable& table) {
   std::array<std::unordered_set<std::uint64_t>, pt::LinearPageTable::kNumLevels + 1> prefixes;
   for (const CollectedNode& cn : c.nodes) {
     translations += CheckNodeWords(cn, wcp, coverage, report);
-    // Recount the leaf's live-slot counter (carried in `index`).
-    unsigned occupied = 0;
-    for (const MappingWord& w : cn.words) {
-      if (w != MappingWord::Invalid()) {
-        ++occupied;
-      }
-    }
-    if (occupied != static_cast<unsigned>(cn.meta.index)) {
-      report.Add(NodeId(cn) + ": leaf live counter " + Str(cn.meta.index) + " but " +
-                 Str(occupied) + " occupied slots");
-    }
+    CheckLeafLiveCounter(cn, report);
     for (unsigned level = 2; level <= pt::LinearPageTable::kNumLevels; ++level) {
       prefixes[level].insert(cn.meta.tag >>
                              (pt::LinearPageTable::kBitsPerLevel * (level - 1)));
@@ -451,16 +456,7 @@ AuditReport StructuralAuditor::Audit(const pt::ForwardMappedPageTable& table) {
     const unsigned level = cn.meta.bucket;  // AuditVisit stores the level here.
     if (level == 1) {
       ++leaves;
-      unsigned occupied = 0;
-      for (const MappingWord& w : cn.words) {
-        if (w != MappingWord::Invalid()) {
-          ++occupied;
-        }
-      }
-      if (occupied != static_cast<unsigned>(cn.meta.index)) {
-        report.Add(NodeId(cn) + ": leaf live counter " + Str(cn.meta.index) + " but " +
-                   Str(occupied) + " occupied slots");
-      }
+      CheckLeafLiveCounter(cn, report);
     }
     // Every node (leaf or intermediate-superpage holder) keeps its ancestors
     // alive.

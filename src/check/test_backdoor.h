@@ -114,6 +114,18 @@ class TestBackdoor {
     return false;
   }
 
+  // Bumps the live-slot counter of the first leaf in a radix table's
+  // pt::ReplicatedLeafStore (linear or forward-mapped), so the counter no
+  // longer matches the leaf's occupied slots.
+  template <typename RadixTable>
+  static bool CorruptLeafLiveCount(RadixTable& table) {
+    for (auto& [leaf_index, leaf] : table.leaves_.leaves_) {
+      ++leaf.live;
+      return true;
+    }
+    return false;
+  }
+
   // Rewrites the first logged grant to claim proper placement at a slot
   // offset the frame cannot occupy, so the grant-placement audit fires.
   // Requires EnableGrantLog() before the grant was made.

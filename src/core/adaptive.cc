@@ -14,8 +14,8 @@ AdaptiveClusteredPageTable::AdaptiveClusteredPageTable(mem::CacheTouchModel& cac
       opts_(opts),
       factor_(opts.subblock_factor),
       block_log2_(Log2(opts.subblock_factor)),
-      hasher_(opts.num_buckets, opts.hash_kind),
-      alloc_(cache.line_size(), opts.placement),
+      hasher_(opts.num_buckets),
+      alloc_(cache.line_size()),
       buckets_(opts.num_buckets, kNil) {
   CPT_CHECK(IsPowerOfTwo(opts.num_buckets));
   CPT_CHECK(IsPowerOfTwo(factor_) && factor_ >= 2 && factor_ <= kMaxFactor);

@@ -42,8 +42,6 @@ class AdaptiveClusteredPageTable final : public pt::PageTable {
     unsigned promote_occupancy = 6;
     // Occupancy at which an array node splits back (hysteresis).
     unsigned demote_occupancy = 3;
-    HashKind hash_kind = HashKind::kMix;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   AdaptiveClusteredPageTable(mem::CacheTouchModel& cache, Options opts);

@@ -42,8 +42,6 @@ class ClusteredPageTable final : public pt::PageTable {
   struct Options {
     std::uint32_t num_buckets = kDefaultHashBuckets;
     unsigned subblock_factor = kDefaultSubblockFactor;  // Power of two, <= 64.
-    HashKind hash_kind = HashKind::kMix;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   ClusteredPageTable(mem::CacheTouchModel& cache, Options opts);

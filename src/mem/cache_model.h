@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "obs/trace.h"
 
@@ -62,7 +61,6 @@ class CacheTouchModel {
     return total_walks_ == 0 ? 0.0
                              : static_cast<double>(total_lines_) / static_cast<double>(total_walks_);
   }
-  const Histogram& per_walk_histogram() const { return per_walk_; }
 
   void Reset();
 
@@ -73,7 +71,6 @@ class CacheTouchModel {
   bool in_walk_ = false;
   std::uint64_t total_lines_ = 0;
   std::uint64_t total_walks_ = 0;
-  Histogram per_walk_;
   obs::WalkTracer* tracer_ = nullptr;
 };
 

@@ -11,7 +11,8 @@
 // are parameterized by n_i and this choice satisfies sum(bits) = 52 with
 // nlevels = 7.
 //
-// Superpage / partial-subblock PTEs use Replicate-PTEs at the leaf sites.
+// Superpage / partial-subblock PTEs use Replicate-PTEs at the leaf sites
+// (pt/replicated_leaves.h, shared with the linear table).
 // As an extension (Section 4.2 "Forward-Mapped Intermediate Nodes"),
 // superpages whose size exactly matches a subtree's coverage can instead be
 // stored in the parent's PTP slot, short-circuiting the walk.
@@ -27,6 +28,7 @@
 #include "check/fwd.h"
 #include "mem/sim_alloc.h"
 #include "pt/page_table.h"
+#include "pt/replicated_leaves.h"
 
 namespace cpt::pt {
 
@@ -43,7 +45,6 @@ class ForwardMappedPageTable final : public PageTable {
     // sizes equal to a full subtree's coverage qualify (e.g. 2^8 pages =
     // 1MB); other sizes still replicate.
     bool intermediate_superpages = false;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   ForwardMappedPageTable(mem::CacheTouchModel& cache, Options opts);
@@ -77,13 +78,7 @@ class ForwardMappedPageTable final : public PageTable {
  private:
   friend class check::TestBackdoor;
 
-  struct Leaf {
-    PhysAddr addr{};
-    std::array<AtomicMappingWord, kLeafEntries> slots{};
-    unsigned live = 0;
-  };
-  // Host layout pin (DESIGN.md "Layout pins").
-  static_assert(sizeof(Leaf) == 2064 && alignof(Leaf) == 8);
+  using Leaves = ReplicatedLeafStore<kLeafEntries>;
 
   struct Inner {
     PhysAddr addr{};
@@ -114,10 +109,6 @@ class ForwardMappedPageTable final : public PageTable {
     return (std::uint64_t{1} << kLevelBits[level - 1]) * 8;
   }
 
-  Leaf& LeafFor(Vpn vpn);
-  Leaf* FindLeaf(Vpn vpn);
-  void SetSlot(Vpn vpn, MappingWord word);
-  MappingWord ClearSlot(Vpn vpn);
   void AddPath(Vpn vpn);
   void RemovePath(Vpn vpn);
   // Ensures the node at `level` (and its ancestors) exists, then stores an
@@ -126,14 +117,14 @@ class ForwardMappedPageTable final : public PageTable {
   // Frees the node at `level` if it has no children and no super slots,
   // cascading upward.
   void MaybeFreeInner(Vpn vpn, unsigned level);
-  TlbFill FillFromWord(Vpn vpn, MappingWord word) const;
 
   Options opts_;
   mem::SimAllocator alloc_;
-  std::unordered_map<std::uint64_t, Leaf> leaves_;
+  Leaves leaves_;
   // Levels 2..7: prefix -> Inner (level 7's only prefix is 0).
   std::array<std::unordered_map<std::uint64_t, Inner>, kNumLevels + 1> inner_;
-  std::uint64_t live_translations_ = 0;
+  // Base pages translated by intermediate-superpage words.
+  std::uint64_t intermediate_translations_ = 0;
 };
 
 }  // namespace cpt::pt

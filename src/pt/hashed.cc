@@ -32,9 +32,9 @@ std::uint64_t TranslationsOf(const MappingWord& w, unsigned psb_factor_log2) {
 HashedPageTable::HashedPageTable(mem::CacheTouchModel& cache, Options opts)
     : PageTable(cache),
       opts_(opts),
-      hasher_(opts.num_buckets, opts.hash_kind),
+      hasher_(opts.num_buckets),
       bucket_stride_(opts.inverted ? 8 : std::bit_ceil<std::uint64_t>(opts.packed_pte ? 16 : 24)),
-      alloc_(cache.line_size(), opts.placement),
+      alloc_(cache.line_size()),
       bucket_base_(alloc_.Allocate(std::uint64_t{opts.num_buckets} * bucket_stride_)),
       buckets_(opts.num_buckets, kNil) {
   CPT_CHECK(IsPowerOfTwo(opts.num_buckets));

@@ -52,8 +52,6 @@ class HashedPageTable final : public PageTable {
     // while the bucket array itself is 8 bytes per bucket instead of a
     // full embedded node.
     bool inverted = false;
-    HashKind hash_kind = HashKind::kMix;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   HashedPageTable(mem::CacheTouchModel& cache, Options opts);

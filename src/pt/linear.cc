@@ -1,59 +1,21 @@
 #include "pt/linear.h"
 
-#include "check/audit_visitor.h"
 #include "common/check.h"
 
 namespace cpt::pt {
 
-namespace {
-// Replicated PSB words cover one page block; the factor is fixed by the
-// 16-bit valid vector format.
-constexpr unsigned kPsbPagesLog2 = 4;
-}  // namespace
-
 LinearPageTable::LinearPageTable(mem::CacheTouchModel& cache, Options opts)
-    : PageTable(cache), opts_(opts), alloc_(cache.line_size(), opts.placement) {}
+    : PageTable(cache),
+      opts_(opts),
+      alloc_(cache.line_size()),
+      leaves_(
+          alloc_, [this](Vpn first) { AddUpperLevels(first); },
+          [this](Vpn first) { RemoveUpperLevels(first); }) {}
 
 LinearPageTable::~LinearPageTable() = default;
 
-TlbFill LinearPageTable::FillFromWord(Vpn vpn, MappingWord word) const {
-  TlbFill fill;
-  fill.kind = word.kind();
-  fill.word = word;
-  switch (word.kind()) {
-    case MappingKind::kBase:
-      fill.base_vpn = vpn;
-      fill.pages_log2 = 0;
-      break;
-    case MappingKind::kSuperpage:
-      fill.pages_log2 = word.page_size().size_log2;
-      fill.base_vpn = SuperpageBaseVpn(vpn, word.page_size());
-      break;
-    case MappingKind::kPartialSubblock:
-      fill.pages_log2 = kPsbPagesLog2;
-      fill.base_vpn = SuperpageBaseVpn(vpn, PageSize{kPsbPagesLog2});
-      break;
-  }
-  return fill;
-}
-
-LinearPageTable::Leaf& LinearPageTable::LeafFor(Vpn vpn) {
-  const std::uint64_t leaf_index = LeafIndexOf(vpn);
-  auto [it, inserted] = leaves_.try_emplace(leaf_index);
-  if (inserted) {
-    it->second.addr = alloc_.Allocate(kBasePageSize);
-    AddUpperLevels(leaf_index);
-  }
-  return it->second;
-}
-
-LinearPageTable::Leaf* LinearPageTable::FindLeaf(Vpn vpn) {
-  auto it = leaves_.find(LeafIndexOf(vpn));
-  return it == leaves_.end() ? nullptr : &it->second;
-}
-
-void LinearPageTable::AddUpperLevels(std::uint64_t leaf_index) {
-  std::uint64_t child_key = leaf_index;
+void LinearPageTable::AddUpperLevels(Vpn leaf_first_vpn) {
+  std::uint64_t child_key = Leaves::LeafIndexOf(leaf_first_vpn);
   for (unsigned level = 2; level <= kNumLevels; ++level) {
     const std::uint64_t key = child_key >> kBitsPerLevel;
     if (upper_[level][key]++ != 0) {
@@ -63,8 +25,8 @@ void LinearPageTable::AddUpperLevels(std::uint64_t leaf_index) {
   }
 }
 
-void LinearPageTable::RemoveUpperLevels(std::uint64_t leaf_index) {
-  std::uint64_t child_key = leaf_index;
+void LinearPageTable::RemoveUpperLevels(Vpn leaf_first_vpn) {
+  std::uint64_t child_key = Leaves::LeafIndexOf(leaf_first_vpn);
   for (unsigned level = 2; level <= kNumLevels; ++level) {
     const std::uint64_t key = child_key >> kBitsPerLevel;
     auto it = upper_[level].find(key);
@@ -77,70 +39,28 @@ void LinearPageTable::RemoveUpperLevels(std::uint64_t leaf_index) {
   }
 }
 
-void LinearPageTable::SetSlot(Vpn vpn, MappingWord word) {
-  Leaf& leaf = LeafFor(vpn);
-  AtomicMappingWord& slot = leaf.slots[SlotIndexOf(vpn)];
-  const MappingWord old = slot.load();
-  const bool was_occupied = old != MappingWord::Invalid();
-  const bool was_translating = was_occupied && FillFromWord(vpn, old).Covers(vpn);
-  const bool now_occupied = word != MappingWord::Invalid();
-  const bool now_translating = now_occupied && FillFromWord(vpn, word).Covers(vpn);
-  leaf.live += static_cast<unsigned>(now_occupied) - static_cast<unsigned>(was_occupied);
-  live_translations_ +=
-      static_cast<std::uint64_t>(now_translating) - static_cast<std::uint64_t>(was_translating);
-  slot.store(word);
-}
-
-MappingWord LinearPageTable::ClearSlot(Vpn vpn) {
-  Leaf* leaf = FindLeaf(vpn);
-  if (leaf == nullptr) {
-    return MappingWord::Invalid();
-  }
-  AtomicMappingWord& slot = leaf->slots[SlotIndexOf(vpn)];
-  const MappingWord old = slot.load();
-  if (old != MappingWord::Invalid()) {
-    if (FillFromWord(vpn, old).Covers(vpn)) {
-      --live_translations_;
-    }
-    slot.store(MappingWord::Invalid());
-    if (--leaf->live == 0) {
-      const std::uint64_t leaf_index = LeafIndexOf(vpn);
-      alloc_.Free(leaf->addr, kBasePageSize);
-      leaves_.erase(leaf_index);
-      RemoveUpperLevels(leaf_index);
-    }
-  }
-  return old;
-}
-
 std::optional<TlbFill> LinearPageTable::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
-  Leaf* leaf = FindLeaf(vpn);
+  const Leaves::Leaf* leaf = leaves_.Find(vpn);
   if (leaf == nullptr) {
     return std::nullopt;  // The PTE page itself is unmapped: page fault.
   }
-  const unsigned slot = SlotIndexOf(vpn);
   // One access to the (virtually addressed) PTE — always a single line.
-  cache_.Touch(leaf->addr + slot * 8, 8);
+  cache_.Touch(Leaves::SlotAddr(*leaf, vpn), 8);
   if (obs::WalkTracer* const tracer = cache_.tracer()) {
     tracer->Record({.kind = obs::EventKind::kWalkStep,
                     .vpn = vpn,
                     .step = 1,
                     .lines = static_cast<std::uint32_t>(cache_.LinesThisWalk())});
   }
-  const MappingWord word = leaf->slots[slot].load();
-  if (word == MappingWord::Invalid()) {
-    return std::nullopt;
-  }
-  TlbFill fill = FillFromWord(vpn, word);
-  if (!fill.Covers(vpn)) {
-    return std::nullopt;  // e.g. PSB replica whose valid bit for vpn is clear.
-  }
-  if (obs::WalkTracer* const tracer = cache_.tracer()) {
-    tracer->Record({.kind = obs::EventKind::kWalkHit,
-                    .vpn = vpn,
-                    .step = 1,
-                    .value = WalkHitValue(fill)});
+  std::optional<TlbFill> fill = Leaves::Translate(*leaf, vpn);
+  if (fill) {
+    if (obs::WalkTracer* const tracer = cache_.tracer()) {
+      tracer->Record({.kind = obs::EventKind::kWalkHit,
+                      .vpn = vpn,
+                      .step = 1,
+                      .value = WalkHitValue(*fill)});
+    }
   }
   return fill;
 }
@@ -148,148 +68,53 @@ std::optional<TlbFill> LinearPageTable::Lookup(VirtAddr va) {
 void LinearPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
                                   std::vector<TlbFill>& out) {
   out.reserve(subblock_factor);  // No-op on the caller's reused buffer.
-  // Mappings for the whole page block are adjacent PTE slots: one read of
-  // subblock_factor*8 bytes.  Page blocks never straddle leaf pages because
-  // 512 is a multiple of the subblock factor.
-  const Vpn vpn = VpnOf(va);
-  const Vpn first = FirstVpnOfBlock(VpbnOf(vpn, subblock_factor), subblock_factor);
-  Leaf* leaf = FindLeaf(first);
-  if (leaf == nullptr) {
-    return;
-  }
-  const unsigned slot0 = SlotIndexOf(first);
-  cache_.Touch(leaf->addr + slot0 * 8, std::uint64_t{subblock_factor} * 8);
-  for (unsigned i = 0; i < subblock_factor; ++i) {
-    const MappingWord word = leaf->slots[slot0 + i].load();
-    if (word == MappingWord::Invalid()) {
-      continue;
-    }
-    TlbFill fill = FillFromWord(first + i, word);
-    if (fill.Covers(first + i)) {
-      out.push_back(fill);
-    }
-  }
+  // Mappings for the whole page block are adjacent PTE slots: one read.
+  const Vpn first = FirstVpnOfBlock(VpbnOf(VpnOf(va), subblock_factor), subblock_factor);
+  leaves_.ReadBlock(cache_, first, subblock_factor, out);
 }
 
 void LinearPageTable::InsertBase(Vpn vpn, Ppn ppn, Attr attr) {
-  SetSlot(vpn, MappingWord::Base(ppn, attr));
+  leaves_.InsertBase(vpn, ppn, attr);
 }
 
-bool LinearPageTable::RemoveBase(Vpn vpn) { return ClearSlot(vpn) != MappingWord::Invalid(); }
+bool LinearPageTable::RemoveBase(Vpn vpn) { return leaves_.RemoveBase(vpn); }
 
 void LinearPageTable::InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_ppn, Attr attr) {
-  // Replicate-PTEs (Section 4.2): the superpage PTE is stored at the page
-  // table site of every base page it covers.
-  CPT_DCHECK(IsSuperpageAligned(base_vpn, size) && IsSuperpageAligned(base_ppn, size));
-  const MappingWord word = MappingWord::Superpage(base_ppn, attr, size);
-  for (unsigned i = 0; i < size.pages(); ++i) {
-    SetSlot(base_vpn + i, word);
-  }
+  leaves_.InsertSuperpage(base_vpn, size, base_ppn, attr);
 }
 
 bool LinearPageTable::RemoveSuperpage(Vpn base_vpn, PageSize size) {
-  bool any = false;
-  for (unsigned i = 0; i < size.pages(); ++i) {
-    any |= ClearSlot(base_vpn + i) != MappingWord::Invalid();
-  }
-  return any;
+  return leaves_.RemoveReplicas(base_vpn, size.pages());
 }
 
 void LinearPageTable::UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor,
                                             Ppn block_base_ppn, Attr attr,
                                             std::uint16_t valid_vector) {
-  // Replicated at every base site; updating the vector rewrites all replicas
-  // (the §4.3 multi-PTE update cost of replication).
-  CPT_DCHECK(subblock_factor == (1u << kPsbPagesLog2));
-  CPT_DCHECK(BoffOf(block_base_vpn, subblock_factor) == 0 &&
-             IsSuperpageAligned(block_base_ppn, PageSize{kPsbPagesLog2}));
-  const MappingWord word = MappingWord::PartialSubblock(block_base_ppn, attr, valid_vector);
-  for (unsigned i = 0; i < subblock_factor; ++i) {
-    SetSlot(block_base_vpn + i, word);
-  }
+  leaves_.UpsertPartialSubblock(block_base_vpn, subblock_factor, block_base_ppn, attr,
+                                valid_vector);
 }
 
 bool LinearPageTable::RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) {
-  bool any = false;
-  for (unsigned i = 0; i < subblock_factor; ++i) {
-    any |= ClearSlot(block_base_vpn + i) != MappingWord::Invalid();
-  }
-  return any;
+  return leaves_.RemoveReplicas(block_base_vpn, subblock_factor);
 }
 
 bool LinearPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) {
-  // Uncounted structural update: R/M-bit maintenance rides on the walk the
-  // miss already paid for (Section 3.1), so it models no memory traffic.
-  // Replicate-PTEs store the superpage/PSB word at every covered base-page
-  // site, so the update must hit every replica — otherwise a later scan at a
-  // sibling site would read stale bits.
-  Leaf* leaf = FindLeaf(vpn);
-  if (leaf == nullptr) {
-    return false;
-  }
-  const MappingWord word = leaf->slots[SlotIndexOf(vpn)].load();
-  if (word == MappingWord::Invalid()) {
-    return false;
-  }
-  const TlbFill fill = FillFromWord(vpn, word);
-  if (!fill.Covers(vpn)) {
-    return false;
-  }
-  const std::uint64_t npages = std::uint64_t{1} << fill.pages_log2;
-  for (std::uint64_t i = 0; i < npages; ++i) {
-    const Vpn site = fill.base_vpn + i;
-    Leaf* site_leaf = LeafIndexOf(site) == LeafIndexOf(vpn) ? leaf : FindLeaf(site);
-    if (site_leaf == nullptr) {
-      continue;
-    }
-    AtomicMappingWord& slot = site_leaf->slots[SlotIndexOf(site)];
-    const MappingWord replica = slot.load();
-    if (replica == MappingWord::Invalid() || replica.kind() != fill.kind) {
-      continue;
-    }
-    ApplyAttrUpdate(slot, set_mask, clear_mask);
-  }
-  return true;
+  return leaves_.UpdateAttrFlags(vpn, set_mask, clear_mask);
 }
 
 std::uint64_t LinearPageTable::ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) {
-  // Direct array indexing: one slot visit per page.
-  for (std::uint64_t i = 0; i < npages; ++i) {
-    Leaf* leaf = FindLeaf(first_vpn + i);
-    if (leaf == nullptr) {
-      continue;
-    }
-    AtomicMappingWord& slot = leaf->slots[SlotIndexOf(first_vpn + i)];
-    const MappingWord word = slot.load();
-    if (word != MappingWord::Invalid()) {
-      slot.store(word.with_attr(attr));
-    }
-  }
-  return npages;
+  return leaves_.ProtectRange(first_vpn, npages, attr);
 }
 
 void LinearPageTable::AuditVisit(check::PtAuditVisitor& visitor) const {
   // A linear table has no hash chains: each leaf page becomes one node view.
-  // `index` carries the leaf's live-slot counter so the auditor can check it
-  // against the occupied slots it sees in `words`.
-  for (const auto& [leaf_index, leaf] : leaves_) {
-    check::PtNodeView view;
-    view.bucket = 0;
-    view.tag = leaf_index;
-    view.base_vpn = FirstVpnOfLeaf(leaf_index);
-    view.sub_log2 = 0;
-    view.words = leaf.slots.data();
-    view.num_words = kPtesPerPage;
-    view.index = static_cast<std::int32_t>(leaf.live);
-    view.addr = leaf.addr;
-    visitor.OnNode(view);
-  }
+  leaves_.AuditVisit(visitor, /*bucket=*/0);
 }
 
 std::array<std::uint64_t, LinearPageTable::kNumLevels> LinearPageTable::ActiveNodesPerLevel()
     const {
   std::array<std::uint64_t, kNumLevels> counts{};
-  counts[0] = leaves_.size();
+  counts[0] = leaves_.leaf_count();
   for (unsigned level = 2; level <= kNumLevels; ++level) {
     counts[level - 1] = upper_[level].size();
   }
@@ -297,7 +122,7 @@ std::array<std::uint64_t, LinearPageTable::kNumLevels> LinearPageTable::ActiveNo
 }
 
 std::uint64_t LinearPageTable::SizeBytesPaperModel() const {
-  std::uint64_t pages = leaves_.size();
+  std::uint64_t pages = leaves_.leaf_count();
   if (opts_.size_model == SizeModel::kSixLevel) {
     for (unsigned level = 2; level <= kNumLevels; ++level) {
       pages += upper_[level].size();
@@ -307,7 +132,7 @@ std::uint64_t LinearPageTable::SizeBytesPaperModel() const {
   if (opts_.size_model == SizeModel::kHashedUpper) {
     // A hashed table (24-byte PTEs) stores the translations to the
     // first-level linear page table: (4KB + 24) * Nactive(512).
-    bytes += leaves_.size() * 24;
+    bytes += leaves_.leaf_count() * 24;
   }
   return bytes;
 }
@@ -322,7 +147,9 @@ std::uint64_t LinearPageTable::SizeBytesActual() const {
   return bytes;
 }
 
-std::uint64_t LinearPageTable::live_translations() const { return live_translations_; }
+std::uint64_t LinearPageTable::live_translations() const {
+  return leaves_.live_translations();
+}
 
 std::string LinearPageTable::name() const {
   switch (opts_.size_model) {

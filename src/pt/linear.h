@@ -19,8 +19,9 @@
 // touches the leaf slot.
 //
 // Superpage / partial-subblock PTEs use the Replicate-PTEs strategy
-// (Section 4.2): the word is written at every covered base-page site, so
-// lookups are unchanged but the table cannot shrink.
+// (Section 4.2, pt/replicated_leaves.h): the word is written at every
+// covered base-page site, so lookups are unchanged but the table cannot
+// shrink.
 #ifndef CPT_PT_LINEAR_H_
 #define CPT_PT_LINEAR_H_
 
@@ -33,6 +34,7 @@
 #include "check/fwd.h"
 #include "mem/sim_alloc.h"
 #include "pt/page_table.h"
+#include "pt/replicated_leaves.h"
 
 namespace cpt::pt {
 
@@ -52,7 +54,6 @@ class LinearPageTable final : public PageTable {
 
   struct Options {
     SizeModel size_model = SizeModel::kSixLevel;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   LinearPageTable(mem::CacheTouchModel& cache, Options opts);
@@ -86,41 +87,19 @@ class LinearPageTable final : public PageTable {
  private:
   friend class check::TestBackdoor;
 
-  struct Leaf {
-    PhysAddr addr{};
-    std::array<AtomicMappingWord, kPtesPerPage> slots{};
-    unsigned live = 0;
-  };
-  // Host layout pin (DESIGN.md "Layout pins").
-  static_assert(sizeof(Leaf) == 4112 && alignof(Leaf) == 8);
+  using Leaves = ReplicatedLeafStore<kPtesPerPage>;
 
-  // Tree indices deliberately erase the domain: the 6-level radix tree keys
-  // level i by vpn >> (9*i), a plain array index.  These are the only
-  // crossings from Vpn to a leaf index / slot number and back.
-  static constexpr std::uint64_t LeafIndexOf(Vpn vpn) { return vpn.raw() >> kBitsPerLevel; }
-  static constexpr unsigned SlotIndexOf(Vpn vpn) {
-    return static_cast<unsigned>(vpn.raw() % kPtesPerPage);
-  }
-  static constexpr Vpn FirstVpnOfLeaf(std::uint64_t leaf_index) {
-    return Vpn{leaf_index << kBitsPerLevel};
-  }
-
-  Leaf& LeafFor(Vpn vpn);
-  Leaf* FindLeaf(Vpn vpn);
-  void SetSlot(Vpn vpn, MappingWord word);
-  // Clears a slot; returns the previous word.
-  MappingWord ClearSlot(Vpn vpn);
-  void AddUpperLevels(std::uint64_t leaf_index);
-  void RemoveUpperLevels(std::uint64_t leaf_index);
-  TlbFill FillFromWord(Vpn vpn, MappingWord word) const;
+  // Upper-level keys deliberately erase the domain: level i of the 6-level
+  // radix tree is keyed by vpn >> (9*i), a plain array index.
+  void AddUpperLevels(Vpn leaf_first_vpn);
+  void RemoveUpperLevels(Vpn leaf_first_vpn);
 
   Options opts_;
   mem::SimAllocator alloc_;
-  std::unordered_map<std::uint64_t, Leaf> leaves_;  // keyed by vpn >> 9
+  Leaves leaves_;
   // Refcounts of active intermediate nodes, levels 2..6 (index 0 unused,
   // index 1 unused; level i keyed by vpn >> (9*i)).
   std::array<std::unordered_map<std::uint64_t, std::uint32_t>, kNumLevels + 1> upper_;
-  std::uint64_t live_translations_ = 0;
 };
 
 }  // namespace cpt::pt

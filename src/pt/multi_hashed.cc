@@ -18,8 +18,6 @@ HashedPageTable::Options BaseTableOptions(const MultiTableHashed::Options& o) {
       .num_buckets = o.num_buckets,
       .tag_shift = 0,
       .packed_pte = o.packed_pte,
-      .hash_kind = o.hash_kind,
-      .placement = o.placement,
   };
 }
 
@@ -28,8 +26,6 @@ HashedPageTable::Options BlockTableOptions(const MultiTableHashed::Options& o) {
       .num_buckets = o.num_buckets,
       .tag_shift = Log2(o.subblock_factor),
       .packed_pte = o.packed_pte,
-      .hash_kind = o.hash_kind,
-      .placement = o.placement,
   };
 }
 
@@ -137,8 +133,8 @@ SuperpageIndexHashed::SuperpageIndexHashed(mem::CacheTouchModel& cache, Options 
     : PageTable(cache),
       opts_(opts),
       block_shift_(Log2(opts.subblock_factor)),
-      hasher_(opts.num_buckets, opts.hash_kind),
-      alloc_(cache.line_size(), opts.placement),
+      hasher_(opts.num_buckets),
+      alloc_(cache.line_size()),
       buckets_(opts.num_buckets, kNil) {
   CPT_CHECK(IsPowerOfTwo(opts.num_buckets) && IsPowerOfTwo(opts.subblock_factor));
   bucket_base_ = alloc_.Allocate(std::uint64_t{opts_.num_buckets} * 32);

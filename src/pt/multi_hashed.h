@@ -42,8 +42,6 @@ class MultiTableHashed final : public PageTable {
     unsigned subblock_factor = kDefaultSubblockFactor;
     SearchOrder order = SearchOrder::kBaseFirst;
     bool packed_pte = false;
-    HashKind hash_kind = HashKind::kMix;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   MultiTableHashed(mem::CacheTouchModel& cache, Options opts);
@@ -91,8 +89,6 @@ class SuperpageIndexHashed final : public PageTable {
   struct Options {
     std::uint32_t num_buckets = kDefaultHashBuckets;
     unsigned subblock_factor = kDefaultSubblockFactor;  // The hash index size.
-    HashKind hash_kind = HashKind::kMix;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   SuperpageIndexHashed(mem::CacheTouchModel& cache, Options opts);

@@ -86,8 +86,6 @@ TEST(CacheTouchModelTest, AveragesAcrossWalks) {
   EXPECT_EQ(m.total_walks(), 2u);
   EXPECT_EQ(m.total_lines(), 4u);
   EXPECT_DOUBLE_EQ(m.AvgLinesPerWalk(), 2.0);
-  EXPECT_EQ(m.per_walk_histogram().count(1), 1u);
-  EXPECT_EQ(m.per_walk_histogram().count(3), 1u);
 }
 
 TEST(CacheTouchModelTest, ResetClearsEverything) {

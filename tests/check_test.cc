@@ -7,7 +7,8 @@
 //   2. Corrupted structures audit dirty — check::TestBackdoor breaks one
 //      invariant at a time (misaligned tag, duplicated base-page coverage,
 //      hash-chain cycle, inconsistent reservation masks, mis-placed grant,
-//      lost TLB tag-index link) and the auditor must name the defect.  Without these tests a
+//      lost TLB tag-index link, radix leaf live-counter drift) and the
+//      auditor must name the defect.  Without these tests a
 //      vacuously-green auditor would be indistinguishable from a working
 //      one.
 #include <gtest/gtest.h>
@@ -178,8 +179,8 @@ INSTANTIATE_TEST_SUITE_P(AllTlbs, MachineAuditTest,
                          ::testing::Values(sim::TlbKind::kSinglePage, sim::TlbKind::kSuperpage,
                                            sim::TlbKind::kPartialSubblock,
                                            sim::TlbKind::kCompleteSubblock),
-                         [](const ::testing::TestParamInfo<sim::TlbKind>& info) {
-                           std::string n = sim::ToString(info.param);
+                         [](const ::testing::TestParamInfo<sim::TlbKind>& param_info) {
+                           std::string n = sim::ToString(param_info.param);
                            for (char& c : n) {
                              if (c == '-') {
                                c = '_';
@@ -283,6 +284,31 @@ TEST(CorruptionTest, LostTlbIndexLinkIsDetected) {
     EXPECT_FALSE(r.ok());
     EXPECT_NE(r.Summary().find("not reachable through the tag index"), std::string::npos)
         << r.Summary();
+  }
+}
+
+// Maps base pages and a replicated superpage across two leaves of a radix
+// table, bumps one leaf's live-slot counter, and returns the auditor's
+// report.
+template <typename RadixTable>
+AuditReport AuditAfterCorruptLeafLiveCount(RadixTable& table) {
+  for (unsigned i = 0; i < 8; ++i) {
+    table.InsertBase(Vpn{0x3000 + 0x400 * i}, Ppn{60 + i}, Attr::ReadWrite());
+  }
+  table.InsertSuperpage(Vpn{0x4000}, kPage64K, Ppn{0x100}, Attr::ReadWrite());
+  EXPECT_TRUE(StructuralAuditor::Audit(table).ok()) << StructuralAuditor::Audit(table).Summary();
+  EXPECT_TRUE(TestBackdoor::CorruptLeafLiveCount(table));
+  return StructuralAuditor::Audit(table);
+}
+
+TEST(CorruptionTest, LeafLiveCounterMismatchIsDetected) {
+  mem::CacheTouchModel cache(256);
+  pt::LinearPageTable linear(cache, {});
+  pt::ForwardMappedPageTable forward(cache, {});
+  for (const AuditReport& r :
+       {AuditAfterCorruptLeafLiveCount(linear), AuditAfterCorruptLeafLiveCount(forward)}) {
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.Summary().find("leaf live counter"), std::string::npos) << r.Summary();
   }
 }
 

@@ -1,5 +1,5 @@
 // Unit and property tests for the memory substrate: simulated-address
-// allocator, physical frame pool, and the page-reservation allocator.
+// allocator and the page-reservation allocator.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "mem/phys_mem.h"
 #include "mem/reservation.h"
 #include "mem/sim_alloc.h"
 
@@ -24,14 +23,6 @@ TEST(SimAllocatorTest, AllocationsAreLineAlignedByDefault) {
     const PhysAddr addr = a.Allocate(24);
     EXPECT_EQ(addr.raw() % 256, 0u) << "allocation " << i;
   }
-}
-
-TEST(SimAllocatorTest, PackedPlacementUsesEightByteAlignment) {
-  SimAllocator a(256, NodePlacement::kPacked);
-  const PhysAddr first = a.Allocate(24);
-  const PhysAddr second = a.Allocate(24);
-  EXPECT_EQ(first.raw() % 8, 0u);
-  EXPECT_EQ(second - first, 24u) << "packed nodes are contiguous";
 }
 
 TEST(SimAllocatorTest, PageSizedAllocationsArePageAligned) {
@@ -100,38 +91,6 @@ TEST(SimAllocatorPropertyTest, NoOverlappingAllocations) {
       live.pop_back();
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// PhysicalMemory
-// ---------------------------------------------------------------------------
-
-TEST(PhysicalMemoryTest, AllocatesAllFramesExactlyOnce) {
-  PhysicalMemory pm(64);
-  std::set<Ppn> seen;
-  for (int i = 0; i < 64; ++i) {
-    auto f = pm.AllocFrame();
-    ASSERT_TRUE(f.has_value());
-    EXPECT_TRUE(seen.insert(*f).second) << "duplicate frame " << *f;
-  }
-  EXPECT_FALSE(pm.AllocFrame().has_value());
-  EXPECT_EQ(pm.frames_free(), 0u);
-}
-
-TEST(PhysicalMemoryTest, FreeMakesFrameAvailableAgain) {
-  PhysicalMemory pm(4);
-  const Ppn a = *pm.AllocFrame();
-  pm.FreeFrame(a);
-  EXPECT_TRUE(pm.IsFree(a));
-  EXPECT_EQ(pm.frames_free(), 4u);
-}
-
-TEST(PhysicalMemoryTest, AllocSpecificRespectsOccupancy) {
-  PhysicalMemory pm(8);
-  EXPECT_TRUE(pm.AllocSpecific(Ppn{5}));
-  EXPECT_FALSE(pm.AllocSpecific(Ppn{5}));
-  pm.FreeFrame(Ppn{5});
-  EXPECT_TRUE(pm.AllocSpecific(Ppn{5}));
 }
 
 // ---------------------------------------------------------------------------

@@ -129,9 +129,16 @@ def check_measurement_entry(entry, i, event_kinds):
     check_options(m["options"], where)
     if entry["type"] == "access":
         check_timing(m["timing"], where)
-        require(m["denominator_misses"] <= m["effective_misses"] + m.get("block_misses", 0)
-                + m.get("subblock_misses", 0) or m["denominator_misses"] >= 0,
-                f"{where}: nonsensical miss counts")
+        misses = m["effective_misses"]
+        split = m.get("block_misses", 0) + m.get("subblock_misses", 0)
+        require(split <= misses,
+                f"{where}: block + subblock misses {split} exceed effective misses {misses}")
+        # Only linear tables get a full-size reference TLB (Section 6.1's
+        # reserved entries); every other table normalizes by its own misses.
+        if not str(m["options"]["pt_kind"]).startswith("linear"):
+            require(m["denominator_misses"] == misses,
+                    f"{where}: denominator_misses {m['denominator_misses']} != "
+                    f"effective_misses {misses} without a reference TLB")
         for kind in m.get("events", {}):
             require(kind in event_kinds, f"{where}: unknown event kind '{kind}'")
         for histo in m.get("histograms", {}).values():
@@ -353,6 +360,12 @@ def _self_test_sections():
     broken = copy.deepcopy(valid)
     broken["entries"][0]["measurement"]["events"]["tlb_mis"] = 1
     checks.append(("undeclared event kind", broken, "unknown event kind"))
+    broken = copy.deepcopy(valid)
+    broken["entries"][0]["measurement"].update(block_misses=2, subblock_misses=1)
+    checks.append(("miss split above effective misses", broken, "exceed effective misses"))
+    broken = copy.deepcopy(valid)
+    broken["entries"][0]["measurement"]["denominator_misses"] = 3
+    checks.append(("denominator without a reference TLB", broken, "without a reference TLB"))
 
     for label, doc, expect in checks:
         try:

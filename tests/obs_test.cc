@@ -330,6 +330,30 @@ TEST(MachineTracingTest, TracedMissesMatchDenominatorMisses) {
   EXPECT_GE(stats.chain_length().mean(), 1.0);
 }
 
+// A forward-mapped walk reads one PTP at each of the six inner levels and
+// then the leaf PTE, so every counted walk takes seven steps.
+TEST(MachineTracingTest, ForwardMappedWalksReportAllSevenLevels) {
+  sim::MachineOptions opts;
+  opts.pt_kind = sim::PtKind::kForward;
+  sim::Machine machine(opts, 1);
+  const auto sweep = [&machine] {
+    for (std::uint64_t i = 0; i < 100; ++i) {
+      machine.Access(0, VaOf(Vpn{0x1000 + i * 3}));
+    }
+  };
+  sweep();  // Fault every page in untraced, so the traced sweep never aborts.
+  StatsTracer stats;
+  machine.AttachTracer(&stats);
+  const std::uint64_t walks_before = machine.cache().total_walks();
+  sweep();
+  const std::uint64_t walks = machine.cache().total_walks() - walks_before;
+  ASSERT_GT(walks, 0u);
+  EXPECT_EQ(stats.counts()[EventKind::kWalkAbort], 0u);
+  EXPECT_EQ(stats.chain_length().total(), walks);
+  EXPECT_DOUBLE_EQ(stats.chain_length().mean(), 7.0);
+  EXPECT_EQ(stats.counts()[EventKind::kWalkStep], walks * 7);
+}
+
 TEST(MachineTracingTest, DetachedMachineCountsAreUnchangedByTracing) {
   const auto run = [](bool traced) {
     sim::MachineOptions opts;

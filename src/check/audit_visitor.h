@@ -106,6 +106,12 @@ class ReservationAuditVisitor {
  public:
   virtual ~ReservationAuditVisitor() = default;
   virtual void OnGroup(const ReservationGroupView& group) = 0;
+  // The groups never handed out, [first_group, end_group): all free, with
+  // no state of their own.  Reported once, after the OnGroup views.
+  virtual void OnUntouchedGroups(std::uint64_t first_group, std::uint64_t end_group) {
+    (void)first_group;
+    (void)end_group;
+  }
   virtual void OnFreeListGroup(std::uint64_t group) { (void)group; }
   virtual void OnFragmentFrame(Ppn ppn) { (void)ppn; }
   virtual void OnOwnerEntry(std::uint64_t key, std::uint64_t group) {

@@ -710,6 +710,9 @@ namespace {
 class ReservationCollector final : public ReservationAuditVisitor {
  public:
   void OnGroup(const ReservationGroupView& group) override { groups.push_back(group); }
+  void OnUntouchedGroups(std::uint64_t first_group, std::uint64_t end_group) override {
+    untouched.emplace_back(first_group, end_group);
+  }
   void OnFreeListGroup(std::uint64_t group) override { free_list.push_back(group); }
   void OnFragmentFrame(Ppn ppn) override { fragment_pool.push_back(ppn); }
   void OnOwnerEntry(std::uint64_t key, std::uint64_t group) override {
@@ -727,6 +730,7 @@ class ReservationCollector final : public ReservationAuditVisitor {
   };
 
   std::vector<ReservationGroupView> groups;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> untouched;  // [first, end) ranges.
   std::vector<std::uint64_t> free_list;
   std::vector<Ppn> fragment_pool;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> owners;
@@ -766,6 +770,23 @@ AuditReport StructuralAuditor::Audit(const mem::ReservationAllocator& alloc) {
                Str(alloc.frames_used()));
   }
 
+  // The untouched range follows the group views, and the two together
+  // cover the pool exactly.
+  if (c.untouched.size() != 1) {
+    report.Add("allocator reported " + Str(c.untouched.size()) +
+               " untouched ranges instead of one");
+  } else {
+    const auto [first, end] = c.untouched.front();
+    if (first != c.groups.size()) {
+      report.Add("untouched range starts at group " + Str(first) + " but " +
+                 Str(c.groups.size()) + " groups were reported");
+    }
+    if (end < first || (c.groups.size() + (end - first)) * factor != alloc.num_frames()) {
+      report.Add("group views and the untouched range [" + Str(first) + ", " + Str(end) +
+                 ") do not account for the pool's " + Str(alloc.num_frames()) + " frames");
+    }
+  }
+
   // Owner map <-> group state, both directions.
   std::unordered_map<std::uint64_t, std::uint64_t> owner_of;  // group -> key
   for (const auto& [key, g] : c.owners) {
@@ -796,7 +817,10 @@ AuditReport StructuralAuditor::Audit(const mem::ReservationAllocator& alloc) {
       report.Add("group " + Str(g) + " appears twice on the free list");
       continue;
     }
-    if (g >= c.groups.size() || c.groups[g].state != GroupStateView::kFree) {
+    if (g >= c.groups.size()) {
+      report.Add("free list holds untouched group " + Str(g) +
+                 ", which the cursor would hand out a second time");
+    } else if (c.groups[g].state != GroupStateView::kFree) {
       report.Add("free list holds group " + Str(g) + " which is not free");
     }
   }

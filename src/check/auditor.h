@@ -21,10 +21,12 @@
 //   subblock factor, set-associative entries in the set their VPN indexes,
 //   no duplicate tags, and the invalid-entry counter exact.
 //
-//   ReservationAllocator: frames_used equals the mask popcount sum, group
-//   state / owner map / free list mutually consistent, and (with the grant
-//   log on) every outstanding grant marked used, with properly-placed
-//   grants really sitting at block_base + boff.
+//   ReservationAllocator: frames_used equals the mask popcount sum, the
+//   touched groups plus the untouched range cover the pool exactly, group
+//   state / owner map / free list mutually consistent (no free-list entry
+//   in the untouched range), and (with the grant log on) every outstanding
+//   grant marked used, with properly-placed grants really sitting at
+//   block_base + boff.
 //
 // Each Audit* function returns an AuditReport listing every defect found;
 // an empty report means the structure is sound.  The auditor holds no state

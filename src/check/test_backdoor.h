@@ -99,6 +99,17 @@ class TestBackdoor {
     return false;
   }
 
+  // Pushes the first never-touched group onto the free list, so the group
+  // could be handed out twice: once from the free list and once more when
+  // the fresh-group cursor reaches it.
+  static bool PushUntouchedGroupOnFreeList(mem::ReservationAllocator& alloc) {
+    if (alloc.groups_.size() == alloc.num_groups()) {
+      return false;  // Every group has been touched.
+    }
+    alloc.free_groups_.push_back(alloc.groups_.size());
+    return true;
+  }
+
   // Unlinks the head of the first non-empty tag-index chain of a TLB over a
   // tlb::EntryStore: the entry stays valid in its slot, but no probe can
   // reach it any more — the "lost index link" defect.

@@ -12,13 +12,6 @@ ReservationAllocator::ReservationAllocator(std::uint64_t num_frames, unsigned su
   CPT_CHECK(IsPowerOfTwo(subblock_factor) && subblock_factor <= 32,
             "group masks are 32-bit");
   CPT_CHECK(num_frames_ > 0);
-  const std::uint64_t num_groups = num_frames_ / factor_;
-  groups_.resize(num_groups);
-  free_groups_.reserve(num_groups);
-  // Push in reverse so low frame numbers are handed out first.
-  for (std::uint64_t g = num_groups; g-- > 0;) {
-    free_groups_.push_back(g);
-  }
 }
 
 std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
@@ -29,8 +22,8 @@ std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
   }
 
   // 1. An existing reservation for this virtual block: use the matching slot.
-  if (auto it = by_owner_.find(block_key); it != by_owner_.end()) {
-    Group& grp = groups_[it->second];
+  if (const std::uint64_t owned = by_owner_.Find(block_key); owned != OwnerTable::kNone) {
+    Group& grp = groups_[owned];
     CPT_DCHECK(grp.state == GroupState::kReserved);
     const std::uint32_t bit = 1u << boff;
     CPT_DCHECK((grp.used_mask & bit) == 0, "double allocation of (block, boff)");
@@ -38,22 +31,30 @@ std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
     ++frames_used_;
     ++grants_;
     ++placed_grants_;
-    const Ppn ppn = FrameAt(it->second, boff);
+    const Ppn ppn = FrameAt(owned, boff);
     RecordGrant(ppn, block_key, boff, /*properly_placed=*/true);
     return FrameGrant{ppn, true};
   }
 
-  // 2. Reserve a fresh aligned group for this virtual block.
-  if (!free_groups_.empty()) {
-    const std::uint64_t g = free_groups_.back();
-    free_groups_.pop_back();
+  // 2. Reserve a free aligned group for this virtual block: the most
+  //    recently freed one, else the lowest never-touched one.  Low frame
+  //    numbers go first, and a freed group is reused before any fresh one.
+  //    Fault path only: frames are granted while faulting, which Preload()
+  //    front-loads; the replay steady state never reaches here, so the
+  //    appends below never run under the hot-path allocation guard.
+  if (!free_groups_.empty() || groups_.size() < num_groups()) {
+    std::uint64_t g = groups_.size();
+    if (free_groups_.empty()) {
+      groups_.emplace_back();
+    } else {
+      g = free_groups_.back();
+      free_groups_.pop_back();
+    }
     Group& grp = groups_[g];
     grp.state = GroupState::kReserved;
     grp.owner_key = block_key;
     grp.used_mask = 1u << boff;
-    by_owner_.emplace(block_key, g);
-    // Fault path only: frames are granted while faulting, which Preload()
-    // front-loads; the replay steady state never reaches here.
+    by_owner_.Insert(block_key, g);
     reservation_fifo_.push_back(g);
     ++reservations_made_;
     ++frames_used_;
@@ -111,7 +112,7 @@ bool ReservationAllocator::BreakOneReservation() {
     if (grp.state != GroupState::kReserved) {
       continue;  // Stale entry: reservation already released or broken.
     }
-    by_owner_.erase(grp.owner_key);
+    by_owner_.Erase(grp.owner_key);
     grp.state = GroupState::kFragmented;
     ++reservations_broken_;
     for (unsigned slot = 0; slot < factor_; ++slot) {
@@ -132,6 +133,7 @@ void ReservationAllocator::Free(Ppn ppn) {
   // Range check on the raw frame index, matching GroupOf/SlotOf's crossing.
   CPT_DCHECK(ppn.raw() < num_frames_);
   const std::uint64_t g = GroupOf(ppn);
+  CPT_DCHECK(g < groups_.size(), "freeing a frame of a group never handed out");
   Group& grp = groups_[g];
   const std::uint32_t bit = 1u << SlotOf(ppn);
   CPT_DCHECK((grp.used_mask & bit) != 0, "freeing an unallocated frame");
@@ -149,11 +151,54 @@ void ReservationAllocator::Free(Ppn ppn) {
       fragment_pool_.push_back(ppn);
     }
   } else if (grp.state == GroupState::kReserved && grp.used_mask == 0) {
-    by_owner_.erase(grp.owner_key);
+    by_owner_.Erase(grp.owner_key);
     grp.state = GroupState::kFree;
     free_groups_.push_back(g);
     // Its fifo entry becomes stale and is skipped by BreakOneReservation.
   }
+}
+
+void ReservationAllocator::OwnerTable::Insert(std::uint64_t key, std::uint64_t group) {
+  CPT_DCHECK(group != kNone);
+  if ((size_ + 1) * 2 > slots_.size()) {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    --shift_;
+    for (const Slot& slot : old) {
+      if (slot.group != kNone) {
+        Place(slot.key, slot.group);
+      }
+    }
+  }
+  Place(key, group);
+  ++size_;
+}
+
+void ReservationAllocator::OwnerTable::Place(std::uint64_t key, std::uint64_t group) {
+  std::size_t i = Home(key);
+  for (; slots_[i].group != kNone; i = Next(i)) {
+    CPT_DCHECK(slots_[i].key != key, "one reservation per block key");
+  }
+  slots_[i] = Slot{key, group};
+}
+
+void ReservationAllocator::OwnerTable::Erase(std::uint64_t key) {
+  std::size_t hole = Home(key);
+  for (; slots_[hole].group == kNone || slots_[hole].key != key; hole = Next(hole)) {
+    CPT_DCHECK(slots_[hole].group != kNone, "erasing a block key that has no reservation");
+  }
+  // Backward shift: move each later entry of the probe run into the hole
+  // unless its home lies cyclically in (hole, j], where the move would put
+  // it before its home.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = Next(hole); slots_[j].group != kNone; j = Next(j)) {
+    if (((j - Home(slots_[j].key)) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].group = kNone;
+  --size_;
 }
 
 void ReservationAllocator::AuditVisit(check::ReservationAuditVisitor& visitor) const {
@@ -176,15 +221,15 @@ void ReservationAllocator::AuditVisit(check::ReservationAuditVisitor& visitor) c
     view.used_mask = grp.used_mask;
     visitor.OnGroup(view);
   }
+  visitor.OnUntouchedGroups(groups_.size(), num_groups());
   for (const std::uint64_t g : free_groups_) {
     visitor.OnFreeListGroup(g);
   }
   for (const Ppn ppn : fragment_pool_) {
     visitor.OnFragmentFrame(ppn);
   }
-  for (const auto& [key, g] : by_owner_) {
-    visitor.OnOwnerEntry(key, g);
-  }
+  by_owner_.ForEach(
+      [&visitor](std::uint64_t key, std::uint64_t g) { visitor.OnOwnerEntry(key, g); });
   if (grant_log_enabled_) {
     for (const auto& [ppn, rec] : live_grants_) {
       visitor.OnGrant(ppn, rec.block_key, rec.boff, rec.properly_placed);

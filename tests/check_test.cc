@@ -256,6 +256,16 @@ TEST(CorruptionTest, MisplacedGrantIsDetected) {
   EXPECT_NE(r.Summary().find("claims proper placement"), std::string::npos) << r.Summary();
 }
 
+TEST(CorruptionTest, UntouchedGroupOnFreeListIsDetected) {
+  mem::ReservationAllocator alloc(256, 16);
+  ASSERT_TRUE(alloc.Allocate(1, 0).has_value());
+  ASSERT_TRUE(StructuralAuditor::Audit(alloc).ok());
+  ASSERT_TRUE(TestBackdoor::PushUntouchedGroupOnFreeList(alloc));
+  const AuditReport r = StructuralAuditor::Audit(alloc);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.Summary().find("hand out a second time"), std::string::npos) << r.Summary();
+}
+
 // Fills a TLB with eight entries, drops one tag-index link, and returns the
 // auditor's report.
 template <typename IndexedTlb>

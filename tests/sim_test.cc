@@ -49,6 +49,23 @@ TEST(MachineTest, PreloadMakesTraceFaultFree) {
   EXPECT_EQ(m.TotalPageFaults(), preload_faults) << "no demand faults after preload";
 }
 
+// The frame allocator holds state only for the groups it hands out, so a
+// pool of 2^40 frames (about 1.5 TB of group records if built up front)
+// costs a Machine no more than the default 2^22.
+TEST(MachineTest, HugeFramePoolCostsOnlyWhatIsTouched) {
+  const auto& spec = workload::GetPaperWorkload("compress");
+  const auto snap = workload::BuildSnapshot(spec);
+  MachineOptions opts;
+  opts.pt_kind = PtKind::kClustered;
+  opts.phys_frames = 1ull << 40;
+  opts.audit = true;
+  Machine m(opts, static_cast<unsigned>(snap.pages.size()));
+  m.Preload(snap);
+  EXPECT_EQ(m.TotalPageFaults(), snap.TotalPages());
+  const check::AuditReport r = m.AuditAll();
+  EXPECT_TRUE(r.ok()) << r.Summary();
+}
+
 TEST(MachineTest, LinearUsesReferenceTlbDenominator) {
   MachineOptions opts;
   opts.pt_kind = PtKind::kLinear1;

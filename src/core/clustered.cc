@@ -220,11 +220,19 @@ void ClusteredPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
   const std::uint32_t b = hasher_(vpbn);
   cache_.Touch(BucketAddr(b), 16);
   bool head = true;
+  std::uint32_t chain_pos = 0;
+  obs::WalkTracer* const tracer = cache_.tracer();
   for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
     const Node& n = arena_[idx];
     const PhysAddr addr = head ? BucketAddr(b) : n.addr;
     head = false;
     cache_.Touch(addr, 16);
+    if (tracer != nullptr) {  // One step per chain node, as in Lookup.
+      tracer->Record({.kind = obs::EventKind::kWalkStep,
+                      .vpn = vpn,
+                      .step = ++chain_pos,
+                      .lines = static_cast<std::uint32_t>(cache_.LinesThisWalk())});
+    }
     if (n.tag != vpbn) {
       continue;
     }

@@ -146,16 +146,29 @@ void ForwardMappedPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
                                          std::vector<TlbFill>& out) {
   out.reserve(subblock_factor);  // No-op on the caller's reused buffer.
   // One tree descent, then the block's PTEs are adjacent in the leaf node.
+  // Steps are numbered as in Lookup: root 1, the leaf read kNumLevels.
   const Vpn vpn = VpnOf(va);
   const Vpn first = FirstVpnOfBlock(VpbnOf(vpn, subblock_factor), subblock_factor);
+  obs::WalkTracer* const tracer = cache_.tracer();
   for (unsigned level = kNumLevels; level >= 2; --level) {
     auto it = inner_[level].find(PrefixAt(first, level));
     if (it == inner_[level].end()) {
       return;
     }
     cache_.Touch(it->second.addr + IndexAt(first, level) * 8, 8);
+    if (tracer != nullptr) {
+      tracer->Record({.kind = obs::EventKind::kWalkStep,
+                      .vpn = vpn,
+                      .step = kNumLevels - level + 1,
+                      .lines = static_cast<std::uint32_t>(cache_.LinesThisWalk())});
+    }
   }
-  leaves_.ReadBlock(cache_, first, subblock_factor, out);
+  if (leaves_.ReadBlock(cache_, first, subblock_factor, out) && tracer != nullptr) {
+    tracer->Record({.kind = obs::EventKind::kWalkStep,
+                    .vpn = vpn,
+                    .step = kNumLevels,
+                    .lines = static_cast<std::uint32_t>(cache_.LinesThisWalk())});
+  }
 }
 
 void ForwardMappedPageTable::InsertBase(Vpn vpn, Ppn ppn, Attr attr) {

@@ -68,9 +68,17 @@ std::optional<TlbFill> LinearPageTable::Lookup(VirtAddr va) {
 void LinearPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
                                   std::vector<TlbFill>& out) {
   out.reserve(subblock_factor);  // No-op on the caller's reused buffer.
-  // Mappings for the whole page block are adjacent PTE slots: one read.
-  const Vpn first = FirstVpnOfBlock(VpbnOf(VpnOf(va), subblock_factor), subblock_factor);
-  leaves_.ReadBlock(cache_, first, subblock_factor, out);
+  // Mappings for the whole page block are adjacent PTE slots: one read,
+  // step 1 as in Lookup.
+  const Vpn vpn = VpnOf(va);
+  const Vpn first = FirstVpnOfBlock(VpbnOf(vpn, subblock_factor), subblock_factor);
+  obs::WalkTracer* const tracer = cache_.tracer();
+  if (leaves_.ReadBlock(cache_, first, subblock_factor, out) && tracer != nullptr) {
+    tracer->Record({.kind = obs::EventKind::kWalkStep,
+                    .vpn = vpn,
+                    .step = 1,
+                    .lines = static_cast<std::uint32_t>(cache_.LinesThisWalk())});
+  }
 }
 
 void LinearPageTable::InsertBase(Vpn vpn, Ppn ppn, Attr attr) {

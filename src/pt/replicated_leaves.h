@@ -122,10 +122,11 @@ class ReplicatedLeafStore {
   // The leaf half of a complete-subblock prefetch: the block's PTEs are
   // adjacent slots, read as one touch of n*8 bytes.  Page blocks never
   // straddle leaves because kSlots is a multiple of every subblock factor.
-  void ReadBlock(mem::CacheTouchModel& cache, Vpn first, unsigned n, std::vector<TlbFill>& out) {
+  // Returns false, touching nothing, when the leaf page is unmapped.
+  bool ReadBlock(mem::CacheTouchModel& cache, Vpn first, unsigned n, std::vector<TlbFill>& out) {
     Leaf* leaf = Find(first);
     if (leaf == nullptr) {
-      return;
+      return false;
     }
     const unsigned slot0 = SlotIndexOf(first);
     cache.Touch(SlotAddr(*leaf, first), std::uint64_t{n} * 8);
@@ -139,6 +140,7 @@ class ReplicatedLeafStore {
         out.push_back(fill);
       }
     }
+    return true;
   }
 
   // ---- OS update path ----

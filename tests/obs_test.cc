@@ -354,6 +354,60 @@ TEST(MachineTracingTest, ForwardMappedWalksReportAllSevenLevels) {
   EXPECT_EQ(stats.counts()[EventKind::kWalkStep], walks * 7);
 }
 
+// A complete-subblock TLB services a block miss with one block walk
+// (PageTable::LookupBlock).  Each table's block walk must emit the walk
+// steps its Lookup does: the linear table one, the forward-mapped table
+// seven, and the clustered tables one per chain node.
+struct BlockWalkCase {
+  sim::PtKind pt_kind;
+  unsigned steps_per_walk;  // 0: one or more, one per chain node.
+};
+
+class BlockWalkTracingTest : public ::testing::TestWithParam<BlockWalkCase> {};
+
+TEST_P(BlockWalkTracingTest, BlockWalksReportTheirSteps) {
+  sim::MachineOptions opts;
+  opts.pt_kind = GetParam().pt_kind;
+  opts.tlb_kind = sim::TlbKind::kCompleteSubblock;
+  sim::Machine machine(opts, 1);
+  // 200 pages in 200 distinct page blocks: more blocks than the TLB holds.
+  const auto sweep = [&machine] {
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      machine.Access(0, VaOf(Vpn{0x1000 + i * 37}));
+    }
+  };
+  sweep();  // Fault every page in untraced, so the traced sweep never aborts.
+  StatsTracer stats;
+  machine.AttachTracer(&stats);
+  const std::uint64_t walks_before = machine.cache().total_walks();
+  sweep();
+  const std::uint64_t walks = machine.cache().total_walks() - walks_before;
+  ASSERT_GT(walks, 0u);
+  EXPECT_EQ(stats.counts()[EventKind::kBlockPrefetch], walks) << "every walk is a block walk";
+  EXPECT_EQ(stats.counts()[EventKind::kWalkAbort], 0u);
+  EXPECT_EQ(stats.chain_length().total(), walks);
+  EXPECT_EQ(stats.chain_length().count(0), 0u) << "a block walk reported no step";
+  if (const unsigned steps = GetParam().steps_per_walk; steps != 0) {
+    EXPECT_EQ(stats.counts()[EventKind::kWalkStep], walks * steps);
+    EXPECT_DOUBLE_EQ(stats.chain_length().mean(), steps);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tables, BlockWalkTracingTest,
+                         ::testing::Values(BlockWalkCase{sim::PtKind::kLinear1, 1},
+                                           BlockWalkCase{sim::PtKind::kForward, 7},
+                                           BlockWalkCase{sim::PtKind::kClustered, 0},
+                                           BlockWalkCase{sim::PtKind::kClusteredAdaptive, 0}),
+                         [](const ::testing::TestParamInfo<BlockWalkCase>& param_info) {
+                           std::string n = sim::ToString(param_info.param.pt_kind);
+                           for (char& c : n) {
+                             if (c == '-') {
+                               c = '_';
+                             }
+                           }
+                           return n;
+                         });
+
 TEST(MachineTracingTest, DetachedMachineCountsAreUnchangedByTracing) {
   const auto run = [](bool traced) {
     sim::MachineOptions opts;
